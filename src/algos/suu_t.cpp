@@ -13,15 +13,13 @@ SuuTPolicy::SuuTPolicy(SuuCPolicy::Config cfg,
 
 std::shared_ptr<const SuuTPolicy::BlockCache> SuuTPolicy::precompute(
     const core::Instance& inst, bool warm_start, lp::SimplexEngine engine,
-    lp::PricingRule pricing, lp::WarmStart* chain) {
+    lp::PricingRule pricing) {
   auto cache = std::make_shared<BlockCache>();
   cache->decomp = chains::decompose_forest(inst.dag());
-  lp::WarmStart local;
-  lp::WarmStart* warm =
-      warm_start ? (chain != nullptr ? chain : &local) : nullptr;
+  lp::WarmStart warm;
   for (const auto& block : cache->decomp.blocks) {
-    cache->lp2.push_back(
-        SuuCPolicy::precompute(inst, block, warm, engine, pricing));
+    cache->lp2.push_back(SuuCPolicy::precompute(
+        inst, block, warm_start ? &warm : nullptr, engine, pricing));
   }
   return cache;
 }

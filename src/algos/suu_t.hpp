@@ -41,16 +41,11 @@ class SuuTPolicy : public sim::Policy {
   /// the same deterministic phase-2 pricing, so the chained trajectory is
   /// byte-stable run to run (the warm-start regression suite pins this
   /// against recorded table1 goldens). `engine` picks the simplex core
-  /// and `pricing` the entering-variable rule, per block. A non-null
-  /// `chain` (only read when warm_start is set) replaces the internal
-  /// block-chaining handle with the caller's, letting a pre-seeded basis
-  /// warm the first block and the final block's basis flow back out —
-  /// the registry's delta warm-start channel.
+  /// and `pricing` the entering-variable rule, per block.
   static std::shared_ptr<const BlockCache> precompute(
       const core::Instance& inst, bool warm_start = false,
       lp::SimplexEngine engine = lp::SimplexEngine::Auto,
-      lp::PricingRule pricing = lp::PricingRule::Auto,
-      lp::WarmStart* chain = nullptr);
+      lp::PricingRule pricing = lp::PricingRule::Auto);
 
   int num_blocks() const noexcept { return decomp_.num_blocks(); }
   int current_block() const noexcept { return block_; }

@@ -36,7 +36,7 @@ sim::PolicyFactory PrecomputeCache::get_or_prepare(
     return made;
   }
   const auto lru_it = lru_.insert(lru_.end(), key);
-  entries_.emplace(key, Entry{made, lru_it, nullptr, 0});
+  entries_.emplace(key, Entry{made, lru_it});
   evict_over_capacity_locked();
   return made;
 }
@@ -76,38 +76,6 @@ void PrecomputeCache::evict_over_capacity_locked() {
     victim = lru_.erase(victim);
     ++stats_.evictions;
   }
-}
-
-void PrecomputeCache::annotate(std::uint64_t key, std::uint64_t parent_key,
-                               std::vector<int> basis, bool cert_unique) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return;  // evicted, or lost the insert race
-  it->second.parent_key = parent_key;
-  it->second.cert_unique = cert_unique;
-  if (!basis.empty()) {
-    it->second.basis =
-        std::make_shared<const std::vector<int>>(std::move(basis));
-  }
-}
-
-std::shared_ptr<const std::vector<int>> PrecomputeCache::basis(
-    std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : it->second.basis;
-}
-
-bool PrecomputeCache::certified_unique(std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  return it != entries_.end() && it->second.cert_unique;
-}
-
-std::uint64_t PrecomputeCache::parent(std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key);
-  return it == entries_.end() ? 0 : it->second.parent_key;
 }
 
 void PrecomputeCache::clear() {

@@ -35,24 +35,13 @@
 // compute (same value — first insert wins) but never block each other on
 // LP solves. Callers that want exactly one prepare per key coalesce above
 // this layer (see service::Engine's single-flight table).
-//
-// Delta warm-start annotations: an entry may carry the final simplex basis
-// its prepare produced, plus the prepare key of the instance it was
-// warm-started from (its "parent"). SolverRegistry::prepare records both
-// after a cacheable warm-start miss and seeds a child prepare from its
-// parent's basis — the mechanism behind update_instance's incremental
-// re-solve. Annotations ride the entry: eviction drops them (a child whose
-// parent aged out simply prepares cold), and they never affect
-// hit/miss/LRU accounting or pin semantics.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/engine.hpp"
 
@@ -91,34 +80,6 @@ class PrecomputeCache {
   /// again (and is reaped on the next insert or set_capacity).
   void unpin(std::uint64_t key);
 
-  /// Attach warm-start provenance to the entry under `key`: the prepare
-  /// key it was seeded from (0 = prepared cold), the final simplex
-  /// basis its prepare produced (empty = none recorded, e.g. a
-  /// Frank–Wolfe path), and whether the prepare's final optimum passed the
-  /// strict uniqueness certificate (lp::WarmStart::last_unique). No-op
-  /// when the entry is absent — it may have been evicted, or lost the
-  /// get_or_prepare insert race — and never touches recency or stats.
-  void annotate(std::uint64_t key, std::uint64_t parent_key,
-                std::vector<int> basis, bool cert_unique = false);
-
-  /// The basis recorded for `key`, or nullptr when the entry is absent or
-  /// carries none. Deliberately NOT a cache "use": no LRU touch, no
-  /// hit/miss accounting — a child peeking at its parent's basis must not
-  /// keep the parent artificially hot.
-  std::shared_ptr<const std::vector<int>> basis(std::uint64_t key) const;
-
-  /// Did `key`'s prepare certify its final optimum unique (see annotate)?
-  /// False when the entry is absent. Children seeded from `key`'s basis
-  /// must re-certify on their own trajectory regardless — this flag only
-  /// predicts whether that attempt is worth the work: a parent that
-  /// already demonstrated alternative optima will have its child's
-  /// certificate fail too, so the registry skips the seed outright.
-  bool certified_unique(std::uint64_t key) const;
-
-  /// The recorded parent prepare key for `key` (0 when absent or cold).
-  /// Test/observability hook.
-  std::uint64_t parent(std::uint64_t key) const;
-
   /// Drop every entry (stats and pins are kept; see reset_stats/unpin).
   void clear();
   void reset_stats();
@@ -128,10 +89,6 @@ class PrecomputeCache {
   struct Entry {
     sim::PolicyFactory factory;
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_
-    /// Warm-start provenance (see annotate); null/0/false until annotated.
-    std::shared_ptr<const std::vector<int>> basis;
-    std::uint64_t parent_key = 0;
-    bool cert_unique = false;
   };
 
   void evict_over_capacity_locked();  // requires mu_ held

@@ -12,7 +12,6 @@
 #include "algos/suu_t.hpp"
 #include "api/precompute_cache.hpp"
 #include "chains/decomposition.hpp"
-#include "lp/simplex.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
 
@@ -100,8 +99,7 @@ void register_builtins(SolverRegistry& r) {
           if (opt.share_precompute) {
             cache = algos::SuuTPolicy::precompute(inst, opt.warm_start,
                                                   opt.lp1.engine,
-                                                  opt.lp1.pricing,
-                                                  opt.lp1.warm);
+                                                  opt.lp1.pricing);
           }
           return [cfg, cache] {
             return cache ? std::make_unique<algos::SuuTPolicy>(cfg, cache)
@@ -201,13 +199,6 @@ const std::string& SolverRegistry::summary(const std::string& name) const {
 PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
                                        const std::string& name,
                                        const SolverOptions& opt) const {
-  return prepare(inst, name, opt, nullptr);
-}
-
-PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
-                                       const std::string& name,
-                                       const SolverOptions& opt,
-                                       PrepareHint* hint) const {
   const std::string resolved = (name == "auto") ? dispatch(inst) : name;
   const auto it = entries_.find(resolved);
   if (it == entries_.end()) {
@@ -221,96 +212,12 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
   // borrowed Instance pointers (the entry's cacheable flag).
   const bool cacheable = it->second.cacheable && opt.share_precompute &&
                          opt.reuse_cache && opt.lp1.warm == nullptr;
-  if (hint != nullptr) {
-    hint->cache_hit = false;
-    hint->warm_used = false;
-  }
   if (!cacheable) {
     return PreparedSolver{resolved, it->second.prepare(inst, opt)};
   }
   const Preparer& preparer = it->second.prepare;
-  PrecomputeCache& cache = PrecomputeCache::global();
-  const std::uint64_t key = prepare_key(inst, resolved, opt);
-  if (!opt.warm_start) {
-    // No warm chaining requested: the classic cache path, hint or not.
-    bool ran = false;
-    sim::PolicyFactory factory = cache.get_or_prepare(key, [&] {
-      ran = true;
-      return preparer(inst, opt);
-    });
-    if (hint != nullptr) hint->cache_hit = !ran;
-    return PreparedSolver{resolved, std::move(factory)};
-  }
-  // Warm-start path: a miss runs the preparer's LP solves through a
-  // registry-owned handle — seeded from the parent entry's basis when the
-  // hint names one — and the final basis is recorded on the new entry so
-  // future children (update_instance deltas) can seed from it. An empty
-  // handle never changes a cold prepare's trajectory (the simplex engines
-  // treat it as a cold solve and merely write the final basis back), so
-  // cached bytes are identical with and without this machinery.
-  std::shared_ptr<const std::vector<int>> seed;
-  if (hint != nullptr && hint->parent_key != 0 &&
-      cache.certified_unique(hint->parent_key)) {
-    // Parent gate: only seed from a trajectory that certified its own
-    // final optimum unique. LP1 optima are structurally dual-degenerate
-    // whenever some job sits wholly on unsaturated machines, so a parent
-    // that failed the certificate predicts the child's seeded run would
-    // fail it too — paying a full seeded prepare only to discard it and
-    // re-run cold. Skipping the seed is purely a performance decision;
-    // byte-soundness always rests on the child's own certificates.
-    seed = cache.basis(hint->parent_key);
-  }
-  bool ran = false;
-  bool seeded_ok = false;
-  lp::WarmStart warm;
-  sim::PolicyFactory factory = cache.get_or_prepare(key, [&] {
-    ran = true;
-    if (seed) {
-      // Seeded attempt under certification: every LP the preparer solves
-      // must end at an optimum certified unique (lp::WarmStart::certify),
-      // or the seed may have steered the chain to a different optimal
-      // vertex than a cold prepare's — same objective, different policy
-      // bytes. A diverged attempt is discarded wholesale (mid-chain state
-      // depends on the seed, so no partial salvage is sound) and the cold
-      // run below is authoritative. The fallback lives INSIDE this miss
-      // lambda so a diverged factory is never cached. A seed the engines
-      // rejected outright on the chain's first solve instead degrades to
-      // a plain cold run (certify cleared, hits == 0) whose factory IS
-      // valid — keep it, just don't count it as warm.
-      lp::WarmStart w;
-      w.certify = true;
-      w.basis = *seed;
-      SolverOptions warmed = opt;
-      warmed.lp1.warm = &w;
-      try {
-        sim::PolicyFactory f = preparer(inst, warmed);
-        if (!w.diverged) {
-          seeded_ok = w.certify && w.hits > 0;
-          warm = std::move(w);
-          return f;
-        }
-      } catch (...) {
-        // The seeded trajectory failed outright; the cold run below is
-        // authoritative (and re-throws if the instance itself is bad).
-      }
-    }
-    SolverOptions cold = opt;
-    warm = lp::WarmStart{};
-    cold.lp1.warm = &warm;
-    return preparer(inst, cold);
-  });
-  if (ran) {
-    // Lineage: only an entry actually built from the seeded run descends
-    // from the parent; a cold fallback's basis is its own root. The
-    // last_unique verdict rides along so future children can decide
-    // whether seeding from this entry's basis is worth attempting.
-    cache.annotate(key, seeded_ok ? hint->parent_key : 0,
-                   std::move(warm.basis), warm.last_unique);
-  }
-  if (hint != nullptr) {
-    hint->cache_hit = !ran;
-    hint->warm_used = seeded_ok;
-  }
+  sim::PolicyFactory factory = PrecomputeCache::global().get_or_prepare(
+      prepare_key(inst, resolved, opt), [&] { return preparer(inst, opt); });
   return PreparedSolver{resolved, std::move(factory)};
 }
 
@@ -330,13 +237,7 @@ static_assert(sizeof(SolverOptions) == sizeof(rounding::Lp1Options) +
 std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
                                           const std::string& name,
                                           const SolverOptions& opt) {
-  return prepare_key(inst.fingerprint(), name, opt);
-}
-
-std::uint64_t SolverRegistry::prepare_key(std::uint64_t fingerprint,
-                                          const std::string& name,
-                                          const SolverOptions& opt) {
-  std::uint64_t h = fingerprint;
+  std::uint64_t h = inst.fingerprint();
   h = util::hash_combine(h, std::string_view(name));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.solver));
   h = util::hash_combine(h,

@@ -58,7 +58,8 @@ struct SolverOptions {
   /// deterministic at any thread count, and the warm-start regression
   /// suite byte-compares the table1 experiment output against recorded
   /// goldens to keep it that way. Turn off to reproduce pre-revised
-  /// recorded bytes.
+  /// recorded bytes. This is the only thing the knob controls: no
+  /// prepare is ever seeded from another instance's basis.
   bool warm_start = true;
 
   // SUU-C / SUU-T knobs (forwarded into algos::SuuCPolicy::Config):
@@ -73,27 +74,6 @@ struct SolverOptions {
 struct PreparedSolver {
   std::string name;
   sim::PolicyFactory factory;
-};
-
-/// Warm-start hint for prepare(): the caller (service::Engine, after an
-/// update_instance) names the prepare key of the PARENT instance the
-/// current one was derived from; prepare seeds the LP solves of a cache
-/// miss from the basis recorded on that parent's PrecomputeCache entry and
-/// reports what happened. A hint never changes prepared artifacts' bytes —
-/// warm-starting alters the simplex path, not the optimum — only how fast
-/// a miss prepares.
-struct PrepareHint {
-  /// In: prepare key of the parent entry (0 = no parent). Compute it with
-  /// prepare_key(parent_fingerprint, resolved_name, opt) — the same
-  /// options the child prepare uses, so parent and child agree on every
-  /// option fold.
-  std::uint64_t parent_key = 0;
-  /// Out: the prepare was served from the cache (no work ran; the hint
-  /// was moot).
-  bool cache_hit = false;
-  /// Out: a miss ran AND the parent's recorded basis seeded at least one
-  /// accepted warm start (phase 1 skipped somewhere in the prepare).
-  bool warm_used = false;
 };
 
 class SolverRegistry {
@@ -126,15 +106,6 @@ class SolverRegistry {
   PreparedSolver prepare(const core::Instance& inst, const std::string& name,
                          const SolverOptions& opt = {}) const;
 
-  /// prepare() with a warm-start hint (may be nullptr == the overload
-  /// above). On a cacheable warm_start miss the preparer's LP solves run
-  /// through a registry-owned WarmStart handle — seeded from the parent
-  /// entry's basis when hint->parent_key names one — and the final basis
-  /// is recorded on the new entry for future children. hint's out fields
-  /// are filled either way.
-  PreparedSolver prepare(const core::Instance& inst, const std::string& name,
-                         const SolverOptions& opt, PrepareHint* hint) const;
-
   /// Structure dispatch: the registry name of the paper algorithm matching
   /// inst.dag() (empty/chains/forest), or "all-on-one" for general dags.
   static std::string dispatch(const core::Instance& inst);
@@ -146,13 +117,6 @@ class SolverRegistry {
   /// the same thing at both layers. `name` must already be resolved (not
   /// "auto" — see dispatch).
   static std::uint64_t prepare_key(const core::Instance& inst,
-                                   const std::string& name,
-                                   const SolverOptions& opt);
-
-  /// prepare_key from a bare instance fingerprint — for callers that know
-  /// a fingerprint but no longer hold the instance (e.g. the parent of an
-  /// update_instance delta, which may already be gone).
-  static std::uint64_t prepare_key(std::uint64_t fingerprint,
                                    const std::string& name,
                                    const SolverOptions& opt);
 

@@ -716,21 +716,6 @@ class RevisedSimplex {
   std::vector<int>& mutable_basis() { return basis_; }
   const std::vector<int>& basis() const { return basis_; }
 
-  /// Min reduced cost over nonbasic non-artificial columns for the active
-  /// objective — the WarmStart::certify uniqueness certificate (all strictly
-  /// positive at an optimum proves the optimal vertex is unique). Recomputes
-  /// the duals from the current factorization, so call it at an optimal
-  /// basis before the basis is stolen.
-  double min_nonbasic_reduced_cost() {
-    compute_y();
-    double mn = std::numeric_limits<double>::infinity();
-    for (int j = 0; j < allow_limit_; ++j) {
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-      mn = std::min(mn, reduced_cost(j));
-    }
-    return mn;
-  }
-
  private:
   void compute_xb() {
     xb_ = sf_.rhs;
@@ -1183,22 +1168,8 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
   };
 
   bool warmed = false;
-  bool diverged = false;  // certify verdict, committed by finish() below
-  // Rejected seed on a chain that never accepted one: the scratch restart
-  // is exactly the cold trajectory's start, so certification can simply be
-  // dropped (committed by finish(), like the rest of the warm accounting).
-  bool seed_rejected_virgin = false;
   if (opt.warm != nullptr && !opt.warm->basis.empty()) {
     warmed = rs.try_warm_start(opt.warm->basis);
-    if (!warmed && opt.warm->certify) {
-      if (opt.warm->hits > 0) {
-        // The chain's state already depends on an earlier accepted seed;
-        // restarting from scratch matches neither trajectory. Discard.
-        diverged = true;
-      } else {
-        seed_rejected_virgin = true;
-      }
-    }
   }
   if (!warmed && !rs.install(sf.init_basis)) {
     // The initial slack/artificial basis is the identity; failing to
@@ -1223,13 +1194,6 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
           ++opt.warm->hits;
         } else {
           ++opt.warm->misses;
-        }
-        // Sticky across the handle's chain: once one solve diverges the
-        // whole chain is suspect. Skipped on trouble — the tableau
-        // fallback re-runs the warm attempt and certifies on its own.
-        if (opt.warm->certify && diverged) opt.warm->diverged = true;
-        if (opt.warm->certify && seed_rejected_virgin && !diverged) {
-          opt.warm->certify = false;  // plain cold run from here on
         }
       }
     }
@@ -1285,27 +1249,10 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
   }
   if (res == 3 || res == 2) {
     sol.status = res == 3 ? Status::IterLimit : Status::Unbounded;
-    // A seeded certified chain that could not even finish may have failed
-    // BECAUSE of the seed — cold could still succeed.
-    if (warmed && opt.warm->certify) diverged = true;
     return finish(sol);
   }
 
   sol.status = Status::Optimal;
-  if (opt.warm != nullptr) {
-    // Uniqueness certificate, computed before the basis is stolen below.
-    // Every handle-attached solve reports the verdict (last_unique) so the
-    // caller can persist it next to the basis it records; a certified
-    // seeded run additionally diverges when the certificate fails — the
-    // optimum may be one of several vertices and the seed may have picked
-    // a different one than the cold trajectory would. If a later verify
-    // failure punts to the tableau, that engine recomputes and overwrites.
-    opt.warm->last_unique =
-        rs.min_nonbasic_reduced_cost() > kUniqueCertTol;
-    if (warmed && opt.warm->certify && !opt.warm->last_unique) {
-      diverged = true;
-    }
-  }
   sol.x = rs.extract(p.num_vars);
   sol.basis = std::move(rs.mutable_basis());
   double obj = 0.0;

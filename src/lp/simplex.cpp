@@ -65,24 +65,6 @@ class Tableau {
   const std::vector<int>& basis() const { return basis_; }
   std::vector<int>& mutable_basis() { return basis_; }
 
-  /// Min reduced cost over nonbasic columns the active objective may price
-  /// (below allow_limit_). At optimality this is the WarmStart::certify
-  /// uniqueness certificate: a value above kUniqueCertTol proves the
-  /// optimal solution unique, so any trajectory — warm-seeded or cold —
-  /// must have landed on the same vertex.
-  double min_nonbasic_reduced_cost() const {
-    std::vector<char> basic(static_cast<std::size_t>(n_total_), 0);
-    for (int r = 0; r < m_; ++r) {
-      basic[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])] = 1;
-    }
-    double mn = std::numeric_limits<double>::infinity();
-    for (int j = 0; j < allow_limit_; ++j) {
-      if (basic[static_cast<std::size_t>(j)]) continue;
-      mn = std::min(mn, cost_[static_cast<std::size_t>(j)]);
-    }
-    return mn;
-  }
-
   double* row(int r) { return arena_.data() + static_cast<std::size_t>(r) * stride_; }
   const double* row(int r) const {
     return arena_.data() + static_cast<std::size_t>(r) * stride_;
@@ -480,18 +462,6 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
       // A failed attempt may have pivoted already; rebuild from scratch.
       tab = Tableau(sf, opt.tol, rule);
       ++opt.warm->misses;
-      if (opt.warm->certify) {
-        if (opt.warm->hits > 0) {
-          // The chain already accepted a seed, so its state depends on the
-          // warm trajectory; a scratch restart here is neither the warm
-          // path nor the cold one. Discard and re-run.
-          opt.warm->diverged = true;
-        } else {
-          // Virgin chain: a scratch restart IS the cold trajectory's start,
-          // so from here on this is a plain cold run — stop certifying.
-          opt.warm->certify = false;
-        }
-      }
     }
   } else if (opt.warm != nullptr) {
     ++opt.warm->misses;
@@ -531,25 +501,10 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
   sol.iterations = iters;
   if (res == 3 || res == 2) {
     sol.status = res == 3 ? Status::IterLimit : Status::Unbounded;
-    // A seeded certified chain that could not even finish may have failed
-    // BECAUSE of the seed — cold could still succeed.
-    if (warmed && opt.warm->certify) opt.warm->diverged = true;
     return sol;
   }
 
   sol.status = Status::Optimal;
-  if (opt.warm != nullptr) {
-    // Every handle-attached solve reports whether its optimum certifies
-    // unique, so the caller can persist the verdict next to the basis and
-    // gate future seeded attempts on it (see WarmStart::last_unique).
-    opt.warm->last_unique =
-        tab.min_nonbasic_reduced_cost() > kUniqueCertTol;
-    // Certified warm chains must prove the optimum unique before the
-    // seeded result may stand in for the cold trajectory's.
-    if (warmed && opt.warm->certify && !opt.warm->last_unique) {
-      opt.warm->diverged = true;
-    }
-  }
   sol.x = tab.extract(p.num_vars);
   // The tableau is done with its basis: steal it instead of copying (the
   // vector is m ints — the copy was measurable on LP2 block chains), and

@@ -83,14 +83,6 @@ int run_simplex_phase(Engine& eng, double tol, int iter_cap, int stall_cap,
 
 }  // namespace detail
 
-/// Margin a nonbasic reduced cost must clear for the WarmStart::certify
-/// uniqueness certificate: min over nonbasic non-artificial columns of the
-/// phase-2 reduced cost must exceed this, or the optimal vertex is treated
-/// as possibly non-unique. Deliberately far above the pivot tolerance —
-/// rejecting a genuinely unique optimum only costs a cold re-solve, while
-/// accepting a non-unique one silently changes output bytes.
-inline constexpr double kUniqueCertTol = 1e-7;
-
 /// SimplexEngine::Auto threshold: solve with the revised engine when the
 /// dense tableau would need at least this many arena cells (rows × total
 /// columns). Calibrated so the paper-scale table/figure experiments keep
@@ -128,33 +120,6 @@ struct WarmStart {
   // Diagnostics (cumulative over the handle's lifetime).
   std::int64_t hits = 0;    ///< solves that skipped phase 1 via the seed
   std::int64_t misses = 0;  ///< solves where the seed was absent/rejected
-  /// Cross-trajectory verification, for handles seeded with a basis that
-  /// was NOT recorded on this exact solve chain (e.g. a delta re-prepare
-  /// seeding from the parent instance's basis). A seed may steer the
-  /// simplex to a DIFFERENT optimal vertex than the cold trajectory's when
-  /// the program has alternative optima — same objective, different x,
-  /// different downstream bytes. With certify set, every seeded solve must
-  /// end at an optimum certified unique (every nonbasic reduced cost
-  /// exceeds kUniqueCertTol — the classic strict-reduced-cost uniqueness
-  /// certificate); otherwise `diverged` is set and the caller must discard
-  /// the chain's results and re-run cold to keep outputs byte-identical.
-  /// A seed rejected AFTER the chain accepted one (hits > 0) also sets
-  /// `diverged` — the chain's state already depends on the earlier seed.
-  /// A seed rejected on a VIRGIN chain (hits == 0) instead clears certify:
-  /// the scratch restart it forces is exactly the cold trajectory's start,
-  /// so the chain continues as a plain cold run whose results are valid.
-  bool certify = false;
-  /// Output when certify is set: some seeded solve of this chain could not
-  /// certify its optimum unique. Results built from the chain may differ
-  /// from a cold run's — discard them.
-  bool diverged = false;
-  /// Output, refreshed by EVERY optimal solve through the handle (seeded
-  /// or cold): did the final optimum pass the strict uniqueness
-  /// certificate? Callers record this next to the basis they persist, so
-  /// a future child solve seeded from that basis can be skipped outright
-  /// when this trajectory already demonstrated alternative optima — the
-  /// child's own certificate would fail after the work is spent.
-  bool last_unique = false;
 };
 
 struct SimplexOptions {

@@ -75,11 +75,10 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   // n=1024) vanishes. Gated to the revised engine so the tableau's
   // byte-recorded trajectories stay untouched, and to callers without a
   // SEEDED warm-start handle so chained-solve hit/miss accounting keeps
-  // its documented meaning. A caller handle with an EMPTY basis (a
-  // capture handle, e.g. the registry recording a basis for future delta
-  // children) still gets the crash seed — an empty handle promises a cold
-  // trajectory, and the crash basis IS this function's cold trajectory on
-  // the revised engine.
+  // its documented meaning. A caller handle with an EMPTY basis (the first
+  // solve of a chain) still gets the crash seed — an empty handle promises
+  // a cold trajectory, and the crash basis IS this function's cold
+  // trajectory on the revised engine.
   lp::WarmStart crash;
   lp::WarmStart* caller = warm;
   const auto rows = static_cast<std::int64_t>(p.rows.size());

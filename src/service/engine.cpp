@@ -558,6 +558,7 @@ std::string Engine::handle_update_instance(const Json& params) {
     throw ProtocolError(error_code::kBadDelta, err.what());
   }
 
+  std::vector<std::uint64_t> released;
   {
     std::lock_guard<std::mutex> lock(sess_mu_);
     const auto it = sessions_.find(p.handle);
@@ -573,15 +574,20 @@ std::string Engine::handle_update_instance(const Json& params) {
                               std::to_string(p.handle) + "; retry");
     }
     it->second.instance = next;
-    it->second.parent_fp = base->fingerprint();
+    // The parent's prepare keys name entries no request through this
+    // handle can reach again; release them (outside sess_mu_, as
+    // close_instance does) so a long-lived handle pins only its current
+    // instance's keys.
+    released = std::move(it->second.pinned_keys);  // leaves it empty
     session_lru_.splice(session_lru_.end(), session_lru_, it->second.lru_it);
+  }
+  for (const std::uint64_t key : released) {
+    api::PrecomputeCache::global().unpin(key);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.deltas_applied;
   }
-  // The parent's pins stay: keeping the parent entry resident is exactly
-  // what lets the re-prepare warm-start from its recorded basis.
 
   std::string out = "{\"handle\":" + std::to_string(p.handle);
   out += ",\"fingerprint\":";
@@ -647,13 +653,16 @@ std::shared_ptr<const core::Instance> Engine::resolve_instance(
   return it->second.instance;
 }
 
-void Engine::pin_key_for_session(std::uint64_t handle, std::uint64_t key) {
+void Engine::pin_key_for_session(std::uint64_t handle, std::uint64_t key,
+                                 const core::Instance* inst) {
   std::lock_guard<std::mutex> lock(sess_mu_);
   const auto it = sessions_.find(handle);
   // The session may have been closed or expired while this request was in
   // flight; its instance shared_ptr keeps the request alive, but there is
-  // no session left to own a pin.
-  if (it == sessions_.end()) return;
+  // no session left to own a pin. Likewise an update_instance may have
+  // swapped the handle's instance since this request resolved it: the key
+  // then belongs to the parent, whose pins the update already released.
+  if (it == sessions_.end() || it->second.instance.get() != inst) return;
   auto& keys = it->second.pinned_keys;
   if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
   keys.push_back(key);
@@ -676,26 +685,8 @@ std::shared_ptr<const Engine::Prepared> Engine::prepare(
   }
   const std::uint64_t key =
       api::SolverRegistry::prepare_key(*inst, resolved, opt);
-  if (session_handle != 0) pin_key_for_session(session_handle, key);
-
-  // Delta warm-start hint: when the session's instance was derived from a
-  // parent by update_instance, point the registry at the parent's cache
-  // entry (same resolved solver + options, parent fingerprint) so a miss
-  // here seeds its LP solves from the parent's recorded basis.
-  api::PrepareHint hint;
-  api::PrepareHint* hintp = nullptr;
   if (session_handle != 0) {
-    std::uint64_t parent_fp = 0;
-    {
-      std::lock_guard<std::mutex> lock(sess_mu_);
-      const auto it = sessions_.find(session_handle);
-      if (it != sessions_.end()) parent_fp = it->second.parent_fp;
-    }
-    if (parent_fp != 0) {
-      hint.parent_key =
-          api::SolverRegistry::prepare_key(parent_fp, resolved, opt);
-      hintp = &hint;
-    }
+    pin_key_for_session(session_handle, key, inst.get());
   }
 
   std::shared_future<std::shared_ptr<const Prepared>> fut;
@@ -721,24 +712,7 @@ std::shared_ptr<const Engine::Prepared> Engine::prepare(
   try {
     auto prep = std::make_shared<Prepared>();
     prep->instance = std::move(inst);
-    const std::uint64_t t0 =
-        hintp != nullptr && obs::enabled() ? obs::now_us() : 0;
-    prep->solver = reg.prepare(*prep->instance, resolved, opt, hintp);
-    if (hintp != nullptr && !hint.cache_hit) {
-      // A re-prepare of an updated handle actually ran: record how long a
-      // delta re-solve takes (warm or not — the histogram's point is the
-      // warm/cold contrast against suu_phase_us{phase="prepare"}) and
-      // whether the parent's basis was accepted somewhere.
-      if (t0 != 0) {
-        obs::Registry::global()
-            .histogram("suu_delta_prepare_us")
-            .observe(obs::now_us() - t0);
-      }
-      if (hint.warm_used) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.delta_warm_hits;
-      }
-    }
+    prep->solver = reg.prepare(*prep->instance, resolved, opt);
     prom.set_value(prep);
     std::lock_guard<std::mutex> lock(sf_mu_);
     inflight_prepares_.erase(key);
@@ -1003,7 +977,6 @@ std::string Engine::handle_stats() const {
   // land in a predictable place and two stats snapshots diff cleanly.
   const std::pair<const char*, std::uint64_t> engine_fields[] = {
       {"coalesced", s.coalesced},
-      {"delta_warm_hits", s.delta_warm_hits},
       {"deltas_applied", s.deltas_applied},
       {"estimates", s.estimates},
       {"failed", s.failed},
@@ -1067,7 +1040,6 @@ std::string Engine::metrics_text() const {
       {"suu_engine_sessions_expired_total", s.sessions_expired},
       {"suu_engine_sessions_dropped_total", s.sessions_dropped},
       {"suu_engine_deltas_applied_total", s.deltas_applied},
-      {"suu_engine_delta_warm_hits_total", s.delta_warm_hits},
   };
   for (const auto& [name, value] : counters) reg.counter(name).set(value);
   reg.gauge("suu_engine_open_handles")

@@ -31,9 +31,10 @@
 //   in place of inline instance bytes, skipping the per-request parse.
 //   Prepare keys reached through a handle are pinned in the
 //   api::PrecomputeCache (pin-aware LRU: pinned entries are never evicted)
-//   until close_instance — or until the handle itself is expired
-//   least-recently-used when max_open_handles is exceeded. Unknown, closed,
-//   and expired handles all answer with the typed error "unknown_handle".
+//   until close_instance, until update_instance swaps the handle's
+//   instance, or until the handle itself is expired least-recently-used
+//   when max_open_handles is exceeded. Unknown, closed, and expired
+//   handles all answer with the typed error "unknown_handle".
 //
 //   Streamed sharded estimates. estimate with {"stream": true, "shards": K}
 //   partitions the replication sequence [0, R) into K deterministic
@@ -166,19 +167,6 @@ class Engine {
     /// handle (rejected deltas — bad_delta, busy_handle, unknown_handle —
     /// are not counted).
     std::uint64_t deltas_applied = 0;
-    /// Re-prepares after an update_instance whose LP solves were warm-
-    /// started from the parent instance's recorded basis AND kept: every
-    /// seeded solve certified its optimum unique (lp::WarmStart::certify),
-    /// so the seeded result stands in for the cold trajectory's bytes.
-    /// Seeded attempts that diverged and fell back cold do not count, and
-    /// a parent whose own trajectory failed the certificate is never
-    /// seeded from in the first place (the registry's parent gate — LP1
-    /// optima are structurally degenerate at paper scale, so expect hits
-    /// mainly on small instances; the larger delta win is skipping the
-    /// parse/validate/fingerprint of a full instance payload). A subset
-    /// of cache-miss prepares on updated handles; cache hits (the child
-    /// was prepared before) don't count — nothing ran.
-    std::uint64_t delta_warm_hits = 0;
     /// open_instance requests that returned a handle.
     std::uint64_t sessions_opened = 0;
     /// close_instance requests that closed a live handle.
@@ -282,17 +270,13 @@ class Engine {
   };
 
   /// One open instance handle: the parsed instance plus every
-  /// PrecomputeCache key this session has pinned (deduplicated; unpinned
-  /// on close/expiry/owner teardown).
+  /// PrecomputeCache key this session has pinned for its current instance
+  /// (deduplicated; unpinned on update/close/expiry/owner teardown).
   struct Session {
     std::shared_ptr<const core::Instance> instance;
     std::vector<std::uint64_t> pinned_keys;
     std::list<std::uint64_t>::iterator lru_it;  // position in session_lru_
     std::uint64_t owner = 0;  // begin_client scope; 0 = unowned
-    /// Fingerprint of the instance this one was derived from by the last
-    /// update_instance (0 = opened fresh, no parent). Read by prepare() to
-    /// seed a warm-start hint from the parent's cache entry.
-    std::uint64_t parent_fp = 0;
     /// Streamed estimates currently running against this handle.
     /// update_instance refuses (busy_handle) while positive — swapping the
     /// instance mid-stream would mix two instances in one reply sequence.
@@ -310,8 +294,8 @@ class Engine {
   std::string handle_open_instance(const Json& params, std::uint64_t client);
   /// Apply a sparse delta to an open handle: validate against the current
   /// instance, re-fingerprint, and install the mutated instance on the
-  /// handle (recording the parent fingerprint for warm-started
-  /// re-prepares). Typed errors: unknown_handle, bad_delta, busy_handle.
+  /// handle, releasing the parent's cache pins (the next prepare runs
+  /// cold). Typed errors: unknown_handle, bad_delta, busy_handle.
   std::string handle_update_instance(const Json& params);
   std::string handle_close_instance(const Json& params);
   std::string handle_solve(const Json& params);
@@ -348,8 +332,10 @@ class Engine {
       std::shared_ptr<const core::Instance> inst, const std::string& solver,
       const api::SolverOptions& opt, std::uint64_t session_handle);
   /// Record `key` as pinned by `handle` (first time only) and pin it in
-  /// the global PrecomputeCache. No-op when the handle is gone.
-  void pin_key_for_session(std::uint64_t handle, std::uint64_t key);
+  /// the global PrecomputeCache. No-op when the handle is gone or no
+  /// longer holds `inst` (an update_instance swapped it meanwhile).
+  void pin_key_for_session(std::uint64_t handle, std::uint64_t key,
+                           const core::Instance* inst);
   /// Remove the LRU session; returns its pinned keys to release. Requires
   /// sess_mu_ held.
   std::vector<std::uint64_t> expire_lru_session_locked();

@@ -1,14 +1,13 @@
-// Cache edge cases of the update_instance incremental re-solve path, plus
-// the busy_handle stream guard driven through the TCP event loop.
+// Cache edge cases of the update_instance path, plus the busy_handle stream
+// guard driven through the TCP event loop.
 //
 // The contract under test (api/precompute_cache.hpp, service/engine.cpp):
-// warm-starting a delta re-prepare from the parent entry's recorded basis
-// is an OPPORTUNISTIC optimization layered on a correctness-neutral
-// fallback. Whatever happens to the parent entry — evicted before the
-// child update, surviving cache pressure via its session pin, re-hit after
-// an A->B->A fingerprint round trip, or its handle LRU-expired mid-chain —
+// update_instance swaps the handle's instance and releases the parent's
+// cache pins; the next prepare runs cold on the child. Whatever happens to
+// the cache meanwhile — capacity pressure across a long update chain, an
+// A->B->A fingerprint round trip, or the handle LRU-expired mid-chain —
 // the handle's answers stay byte-identical to a cold parse of the mutated
-// instance; only Stats::delta_warm_hits and the cache counters move.
+// instance, and a long-lived handle pins only its current instance's keys.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -100,36 +99,45 @@ struct CacheSandbox {
 
 // ------------------------------------------------- parent entry lifecycle
 
-// Evicting the parent's cache entry between its solve and the child's
-// update kills the warm seed (annotations ride the entry), but the child
-// re-prepare just runs cold: bytes identical, delta_warm_hits untouched.
-TEST(DeltaCache, ParentEvictedBeforeUpdateFallsBackCold) {
+// A long-lived handle taking a stream of deltas pins only its CURRENT
+// instance's prepare keys: every update releases the parent's pins, so the
+// cache stays within capacity instead of growing one pinned entry per
+// update. Every step still answers byte-identically to a cold parse.
+TEST(DeltaCache, UpdateReleasesParentPins) {
   CacheSandbox sandbox;
+  api::PrecomputeCache& cache = api::PrecomputeCache::global();
+  cache.set_capacity(3);
+
   Engine engine;
-  const core::Instance root = core::apply_delta(
+  core::Instance current = core::apply_delta(
       independent_instance(6, 3, 401), core::InstanceDelta{});
-  const std::uint64_t handle = open_handle(engine, root);
-  solve_via_handle(engine, handle);  // caches + annotates the parent entry
+  const std::uint64_t handle = open_handle(engine, current);
+  solve_via_handle(engine, handle);
+  EXPECT_EQ(cache.stats().pinned, 1u);
 
-  // Drop every entry (pins survive — the handle's keys stay exempt from
-  // LRU once re-prepared, but the recorded basis is gone for good).
-  api::PrecomputeCache::global().clear();
+  for (int step = 0; step < 10; ++step) {
+    const int cell = step % (current.num_jobs() * current.num_machines());
+    const double q = 0.2 + 0.05 * step;
+    const std::string update = engine.handle(
+        R"({"id":2,"method":"update_instance","params":{"handle":)" +
+        std::to_string(handle) + R"(,"q":{")" + std::to_string(cell) +
+        R"(":)" + service::json_number(q) + "}}}");
+    ASSERT_TRUE(Json::parse(update).find("ok")->as_bool("ok")) << update;
+    core::InstanceDelta delta;
+    delta.q = {{cell, q}};
+    current = core::apply_delta(current, delta);
+    EXPECT_EQ(solve_via_handle(engine, handle),
+              solve_cold_inline(engine, current))
+        << "step " << step;
+  }
 
-  const std::string update = engine.handle(
-      R"({"id":2,"method":"update_instance","params":{"handle":)" +
-      std::to_string(handle) + R"(,"q":{"0":0.5,"7":0.25}}})");
-  ASSERT_TRUE(Json::parse(update).find("ok")->as_bool("ok")) << update;
-
-  core::InstanceDelta delta;
-  delta.q = {{0, 0.5}, {7, 0.25}};
-  const core::Instance mutated = core::apply_delta(root, delta);
-  EXPECT_EQ(solve_via_handle(engine, handle),
-            solve_cold_inline(engine, mutated));
-  EXPECT_EQ(engine.stats().delta_warm_hits, 0u)
-      << "no parent basis existed — nothing could have warm-started";
-  EXPECT_EQ(engine.stats().deltas_applied, 1u);
+  const api::PrecomputeCache::Stats s = cache.stats();
+  EXPECT_EQ(s.pinned, 1u) << "only the current instance's key stays pinned";
+  EXPECT_LE(s.size, 3u) << "released parents must be evictable again";
+  EXPECT_EQ(engine.stats().deltas_applied, 10u);
   engine.handle(R"({"id":3,"method":"close_instance","params":{"handle":)" +
                 std::to_string(handle) + "}}");
+  EXPECT_EQ(cache.stats().pinned, 0u);
 }
 
 // A session's pinned prepare keys are exempt from LRU eviction: flooding
@@ -167,7 +175,7 @@ TEST(DeltaCache, PinnedParentSurvivesCachePressure) {
 
 // Fingerprints are pure functions of instance content, so a delta and its
 // inverse converge back onto the ORIGINAL prepare key — the chain's first
-// entry is still cached (and pinned) and the third solve re-hits it
+// entry is still cached and the third solve re-hits it
 // instead of preparing a third time.
 TEST(DeltaCache, InverseDeltaConvergesOntoOriginalCacheEntry) {
   CacheSandbox sandbox;
