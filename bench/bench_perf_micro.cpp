@@ -22,6 +22,7 @@
 #include "flow/max_flow.hpp"
 #include "lp/fw_cover.hpp"
 #include "lp/simplex.hpp"
+#include "obs/metrics.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
 #include "sim/engine.hpp"
@@ -184,23 +185,31 @@ void BM_RoundLp1(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundLp1)->Arg(16)->Arg(64)->Arg(256);
 
+// The default LP2 path (Auto engine, Auto pricing). From 32 chains up it
+// runs on the revised engine; "fallbacks" counts re-solves on the dense
+// tableau per solve, and CI gates it at 0 on the 64-chain entry.
 void BM_Lp2ChainsPipeline(benchmark::State& state) {
   const int n_chains = static_cast<int>(state.range(0));
   util::Rng rng(14);
   core::Instance inst = core::make_chains(
       n_chains, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
   const auto chains = inst.dag().chains();
+  const obs::Counter& fallbacks =
+      obs::Registry::global().counter("suu_lp_tableau_fallbacks_total");
+  const std::uint64_t fallbacks_before = fallbacks.value();
   std::int64_t pivots = 0;
   for (auto _ : state) {
     const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
     pivots += res.simplex_iterations;
     benchmark::DoNotOptimize(res.t_fractional);
   }
-  state.counters["pivots"] = benchmark::Counter(
-      static_cast<double>(pivots) /
-      static_cast<double>(state.iterations()));
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["pivots"] =
+      benchmark::Counter(static_cast<double>(pivots) / iters);
+  state.counters["fallbacks"] = benchmark::Counter(
+      static_cast<double>(fallbacks.value() - fallbacks_before) / iters);
 }
-BENCHMARK(BM_Lp2ChainsPipeline)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_Lp2ChainsPipeline)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 // Warm vs cold LP2 re-solve: the BlockCache / perturbed-rhs pattern. Cold
 // runs two-phase from scratch each time; warm chains a WarmStart handle, so

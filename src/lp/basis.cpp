@@ -562,7 +562,9 @@ class RevisedSimplex {
 
   // One revised iteration. 0 = optimal, 1 = pivoted, 2 = unbounded,
   // -1 = numerical trouble (refactorization of the current basis failed).
-  int iterate(bool bland) {
+  // `exact_retry` marks the one re-entry the unbounded verdict makes after
+  // refreshing the Devex/steepest reduced costs (see the ratio test below).
+  int iterate(bool bland, bool exact_retry = false) {
     int enter = -1;
     double d_enter = 0.0;
     if (rule_ == PricingRule::Dantzig) {
@@ -643,7 +645,13 @@ class RevisedSimplex {
     }
     if (leave < 0) {
       w_.clear();
-      return 2;
+      // Devex/steepest chose the column from incrementally maintained
+      // reduced costs. An unbounded verdict must rest on exact ones, so
+      // refresh them and price once more before believing it; only a
+      // column that is still improving with no leaving row is unbounded.
+      if (rule_ == PricingRule::Dantzig || exact_retry) return 2;
+      refresh_reduced_costs();
+      return iterate(bland, true);
     }
     if (rule_ != PricingRule::Dantzig) update_incremental(enter, leave, d_enter);
     const int ret = pivot(leave, enter, d_enter) ? 1 : -1;
@@ -816,9 +824,9 @@ class RevisedSimplex {
   // ---- Devex / steepest-edge path (incremental reduced costs).
 
   // Exact reset of d_ and the improving-candidate list from one BTRAN plus
-  // a full column sweep. The only places optimality or Bland selections are
-  // decided read d_ straight after this runs, so drift in the incremental
-  // updates can slow the path but never corrupt a verdict.
+  // a full column sweep. Optimality, Bland selections and unbounded
+  // verdicts are decided on d_ straight after this runs, so drift in the
+  // incremental updates can slow the path but never corrupt a verdict.
   void refresh_reduced_costs() {
     compute_y();
     cand_.clear();
@@ -836,6 +844,7 @@ class RevisedSimplex {
       }
     }
     need_refresh_ = false;
+    stale_ = false;
   }
 
   // Max of d_j^2 / w_j over the shortlist, compacting out stale members.
@@ -892,10 +901,16 @@ class RevisedSimplex {
     // ruinous when rho touches a dense row (LP1's machine-load rows carry
     // ~n entries each, turning every such pivot into an O(n·m) sweep). The
     // lazy path instead updates only the current shortlist by one short
-    // column dot with rho each, leaving off-shortlist reduced costs stale;
-    // that is safe because every verdict that matters (optimality, Bland)
-    // already goes through an exact refresh, and a dry shortlist triggers
-    // one. Pick whichever costs less this pivot.
+    // column dot with rho each, leaving off-shortlist reduced costs stale
+    // until the next exact refresh (a dry shortlist, a refactorization, a
+    // self-check mismatch). That is safe because of two invariants: every
+    // verdict (optimality, Bland, unbounded) is decided on exact reduced
+    // costs, and once a lazy update has run the exact sweep keeps updating
+    // d_ and the weights but admits no new column to the shortlist until
+    // that refresh — a stale d_ pushed below -tol would otherwise be picked
+    // as entering, pivot uselessly or fake an unbounded ray. Shortlist
+    // members stay exact by induction on both paths. Pick whichever path
+    // costs less this pivot.
     std::int64_t row_work = 0;
     if (rho_.dense) {
       row_work = sf_.row_ptr[static_cast<std::size_t>(sf_.m)];
@@ -1000,7 +1015,7 @@ class RevisedSimplex {
       } else {
         weights_.note_devex(j, ratio, entering_weight);
       }
-      if (j < allow_limit_ && d < -tol_ &&
+      if (!stale_ && j < allow_limit_ && d < -tol_ &&
           !in_cand_[static_cast<std::size_t>(j)]) {
         cand_.push_back(j);
         in_cand_[static_cast<std::size_t>(j)] = 1;
@@ -1026,12 +1041,15 @@ class RevisedSimplex {
   // (rho_ holds B^{-T} e_leave; its dense backing array is valid in both
   // sparse and dense modes). Shortlist members keep exact reduced costs by
   // induction — d_enter was itself a shortlist value — while columns
-  // outside it drift until the next exact refresh. Weight updates likewise
-  // cover the shortlist only: an off-shortlist weight frozen at its
-  // reference value can only make that column look *more* attractive
-  // later, which degrades the path toward Dantzig, never the answer.
+  // outside it go stale: their d_ misses this pivot's update for good, so
+  // stale_ bars them from the shortlist until refresh_reduced_costs()
+  // recomputes every d_ from scratch. Weight updates likewise cover the
+  // shortlist only: an off-shortlist weight frozen at its reference value
+  // can only make that column look *more* attractive later, which degrades
+  // the path toward Dantzig, never the answer.
   void update_lazy(int enter, int leave_col, double piv, double d_enter,
                    bool steepest) {
+    stale_ = true;
     const double mult = d_enter / piv;
     const double entering_weight = weights_[enter];
     if (steepest) {
@@ -1134,6 +1152,9 @@ class RevisedSimplex {
   std::vector<int> alpha_supp_;
   std::vector<double> beta_;     // scratch: a_j^T tau on alpha's support
   bool need_refresh_ = false;
+  // Off-shortlist d_ entries missed a lazy update since the last exact
+  // refresh: the exact sweep must not admit them to the shortlist.
+  bool stale_ = false;
   // FTRAN telemetry for the perf benches (sparsity of entering columns).
   std::int64_t ftran_calls_ = 0;
   std::int64_t ftran_nnz_ = 0;
@@ -1209,8 +1230,9 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
     rs.load_objective(phase1, n);
     const int res = run_phase();
     if (res == -1 || res == 2) {
-      // Phase 1 is bounded below by zero; "unbounded" here can only be a
-      // numerically corrupted factorization.
+      // Phase 1 is bounded below by zero, and iterate() reports unbounded
+      // only on exact reduced costs, so this can only be a numerically
+      // corrupted factorization.
       trouble = true;
       return finish(sol);
     }

@@ -23,9 +23,11 @@
 // Both engines solve the identical standard form (build_standard_form keeps
 // the column numbering and rhs normalization bit-identical to the tableau's
 // internal construction), so a Solution::basis produced by one engine warm
-// starts the other. solve_revised never aborts on numerical trouble: it
-// reports it, and lp::solve_simplex falls back to the tableau engine, whose
-// trajectories are the repo's byte-stability anchor.
+// starts the other. solve_revised never returns a wrong answer on
+// numerical trouble: it reports it, and lp::solve_simplex re-solves on the
+// tableau engine, whose trajectories are the repo's byte-stability anchor.
+// That re-solve is a safety net, not a path: pricing verdicts rest on
+// exact reduced costs, so a well-posed solve never needs it.
 #pragma once
 
 #include <algorithm>

@@ -422,10 +422,13 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
   if (use_revised) {
     bool trouble = false;
     Solution revised = solve_revised(p, sf, opt, &trouble);
-    // Numerical trouble (singular refactorization, failed verification)
-    // falls through to the tableau engine, whose slower dense eliminations
-    // are the accuracy anchor; warm-start accounting was deferred so the
-    // tableau attempt below counts exactly once.
+    // Numerical trouble (singular refactorization, failed verification, an
+    // "unbounded" phase 1) falls through to the tableau engine, whose
+    // slower dense eliminations are the accuracy anchor; warm-start
+    // accounting was deferred so the tableau attempt below counts exactly
+    // once. This is a safety net, not a path: the revised engine decides
+    // every verdict on exact reduced costs, and the differential tests
+    // require zero fallbacks, so each one counted here is a bug report.
     if (!trouble) return revised;
     static obs::Counter& fallbacks =
         obs::Registry::global().counter("suu_lp_tableau_fallbacks_total");

@@ -11,8 +11,11 @@
 //    O(m·n) per pivot.
 //  - Revised: eta-file basis factorization with FTRAN/BTRAN per pivot and
 //    periodic refactorization (lp/basis.hpp); asymptotically the winner at
-//    the n=256/1024 regimes, with an automatic fall-back to the tableau on
-//    any numerical trouble.
+//    the n=256/1024 regimes. It finishes the solves it starts; a re-solve
+//    on the tableau is the safety net for genuine numerical trouble only (a
+//    singular refactorization or a failed verification), counted in
+//    suu_lp_tableau_fallbacks_total and held at zero by the differential
+//    tests.
 //
 // SimplexOptions::engine selects; Auto switches to Revised once the dense
 // arena would exceed kRevisedAutoCells entries. A Bland's-rule fallback
