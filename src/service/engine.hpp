@@ -11,8 +11,9 @@
 //                         util::ThreadPool; cb receives each response line
 //                         in order, with last == true exactly once on the
 //                         final line (inline on admission failure);
-//   * a transport       — service/transport.hpp pumps bytes from stdio,
-//                         a raw fd, or a loopback TCP socket into submit.
+//   * a transport       — service/transport.hpp pumps bytes from stdio
+//                         or loopback TCP sockets (service/eventloop.hpp)
+//                         into submit.
 //
 // Invariants the rest of the PR (and the tests) rely on:
 //
@@ -105,11 +106,10 @@ class Engine {
     /// Stats::sessions_expired); requests naming an expired handle get the
     /// typed error "unknown_handle".
     std::size_t max_open_handles = 64;
-    /// Transport read-idle timeout in milliseconds: a connection that
-    /// stays silent this long is abandoned by serve_fd and by the epoll
-    /// loop's timer wheel, so a half-open peer cannot pin a reader thread
-    /// forever. 0 disables the timeout (the pre-existing block-until-bytes
-    /// behavior).
+    /// TCP read-idle timeout in milliseconds: the epoll loop's timer
+    /// queue stops reading from a connection that stays silent this long,
+    /// drains its queued replies and closes it, so a half-open peer cannot
+    /// hold its fd and session forever. 0 disables the timeout.
     int idle_timeout_ms = 0;
     /// Slow-reader bound for the epoll transport: a connection whose
     /// queued-but-unwritten reply bytes exceed this is disconnected

@@ -38,18 +38,27 @@ void set_nonblocking(int fd) {
                 "fcntl(F_SETFL) failed: " << std::strerror(errno));
 }
 
-/// Strip a trailing '\r' (CRLF tolerance) and report whether anything is
-/// left to submit. Mirrors the threaded transports in transport.cpp.
-bool normalize_line(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return !line.empty();
+/// A scrape connection's one reply. HTTP/1.0 with Connection: close is
+/// delimited by EOF, so writing it at accept — without waiting for or
+/// parsing the request — is a valid exchange for every scraper the
+/// endpoint targets (Prometheus, curl, tools/suu_metrics).
+std::string scrape_response(const std::string& body) {
+  std::string resp =
+      "HTTP/1.0 200 OK\r\n"
+      "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+      "Content-Length: " +
+      std::to_string(body.size()) +
+      "\r\n"
+      "Connection: close\r\n\r\n";
+  resp += body;
+  return resp;
 }
 
 }  // namespace
 
 /// One multiplexed connection. Split by owner:
 ///
-///   * immutable after setup: fd, client, cancel;
+///   * immutable after setup: fd, scrape, client, cancel;
 ///   * loop-thread only (no lock): injector, inbuf, reading, want_write,
 ///     idle_gen — only the loop reads the socket, plans fault actions, and
 ///     talks to epoll;
@@ -61,7 +70,8 @@ bool normalize_line(std::string& line) {
 ///     acted on by the loop.
 struct EventLoop::Conn {
   int fd = -1;
-  std::uint64_t client = 0;
+  bool scrape = false;      ///< accepted on a scrape listener
+  std::uint64_t client = 0;  ///< 0 (no client scope) for scrape connections
   Engine::CancelToken cancel;
 
   FaultInjector injector;
@@ -94,14 +104,18 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
   int wakefd = -1;
 
   // Loop-thread state.
-  std::vector<int> listeners;  ///< borrowed fds, registered before run()
+  struct Listener {
+    int fd;
+    bool scrape;
+  };
+  std::vector<Listener> listeners;  ///< borrowed fds, registered before run()
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
   bool stop_applied = false;
 
-  enum class TimerKind { kIdle, kWriteDelay };
+  enum class TimerKind { kIdle, kWriteDelay, kScrapeDeadline };
   struct Timer {
     std::weak_ptr<Conn> conn;
-    std::uint64_t idle_gen = 0;  ///< kIdle validity; unused for kWriteDelay
+    std::uint64_t idle_gen = 0;  ///< kIdle validity; unused otherwise
     TimerKind kind = TimerKind::kIdle;
   };
   /// Earliest-deadline-first timer queue ticked from the epoll_wait
@@ -203,10 +217,11 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
                    Timer{conn, conn->idle_gen, TimerKind::kIdle});
   }
 
-  void setup_conn(int fd) {
-    auto conn = std::make_shared<Conn>(fault);
+  void setup_conn(int fd, bool scrape) {
+    auto conn = std::make_shared<Conn>(scrape ? FaultSpec{} : fault);
     conn->fd = fd;
-    conn->client = engine.begin_client();
+    conn->scrape = scrape;
+    if (!scrape) conn->client = engine.begin_client();
     conn->cancel = std::make_shared<std::atomic<bool>>(false);
     conns[fd] = conn;
     epoll_event ev{};
@@ -215,7 +230,14 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
     SUU_CHECK_MSG(::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0,
                   "epoll_ctl(ADD) failed: " << std::strerror(errno));
     conn_gauge.add(1);
-    arm_idle(conn);
+    if (!scrape) {
+      arm_idle(conn);
+      return;
+    }
+    timers.emplace(now_ms() + kScrapeDeadlineMs,
+                   Timer{conn, 0, TimerKind::kScrapeDeadline});
+    enqueue(conn, scrape_response(engine.metrics_text()));
+    flush(conn);
   }
 
   /// Close `conn` and release everything it holds. `cancel_streams` is
@@ -262,27 +284,26 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
     if (drained) teardown(conn, false);
   }
 
-  /// Frame `line` and append it to the outbound queue (transport-origin
-  /// lines: the over-long-line error). Engine replies take the same path
-  /// through the submit callback.
-  void enqueue(const std::shared_ptr<Conn>& conn, std::string&& line) {
-    line.push_back('\n');
+  /// Append already-framed transport-origin bytes (the over-long-line
+  /// error, a scrape reply) to the outbound queue. Engine replies take
+  /// the same path through the submit callback.
+  void enqueue(const std::shared_ptr<Conn>& conn, std::string&& bytes) {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->dead) return;
-    conn->out_bytes += line.size();
-    queue_gauge.add(static_cast<std::int64_t>(line.size()));
-    conn->outq.push_back(std::move(line));
+    conn->out_bytes += bytes.size();
+    queue_gauge.add(static_cast<std::int64_t>(bytes.size()));
+    conn->outq.push_back(std::move(bytes));
   }
 
   /// Answer an unframable over-long line once and abandon the connection:
   /// stop reading, drain what is queued, then close. In-flight requests
-  /// are not cancelled — their replies still go out, exactly like the
-  /// threaded serve_fd's drain-then-return.
+  /// are not cancelled — their replies still go out before the close.
   void overlong(const std::shared_ptr<Conn>& conn) {
     enqueue(conn, make_error_response(
                       Json(nullptr), error_code::kParseError,
                       "request line exceeds " +
-                          std::to_string(opt.max_line_bytes) + " bytes"));
+                          std::to_string(opt.max_line_bytes) + " bytes") +
+                      "\n");
     conn->inbuf.clear();
     stop_reading(conn);
     flush(conn);
@@ -329,6 +350,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
   /// plan, and the slow-reader policy allow.
   void flush(const std::shared_ptr<Conn>& conn) {
     bool graceful = false;
+    bool half_close = false;
     {
       std::unique_lock<std::mutex> lock(conn->mu);
       if (conn->dead) return;
@@ -396,15 +418,23 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
       }
       graceful =
           conn->outq.empty() && !conn->reading && conn->inflight == 0;
+      half_close = conn->scrape && conn->outq.empty();
     }
     set_want_write(conn, false);
-    if (graceful) teardown(conn, false);
+    if (graceful) {
+      teardown(conn, false);
+    } else if (half_close) {
+      // The scrape reply is out: signal its end, then wait for the peer's
+      // EOF (or the scrape deadline) so the peer never sees a reset
+      // ahead of the body.
+      ::shutdown(conn->fd, SHUT_WR);
+    }
   }
 
-  void do_accept(int lfd) {
+  void do_accept(const Listener& l) {
     for (;;) {
       const int fd =
-          ::accept4(lfd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+          ::accept4(l.fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR) continue;
         return;  // EAGAIN, or listener shut down
@@ -413,7 +443,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         ::close(fd);
         continue;
       }
-      setup_conn(fd);
+      setup_conn(fd, l.scrape);
     }
   }
 
@@ -445,6 +475,7 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         try_close_if_drained(conn);
         return;
       }
+      if (conn->scrape) continue;  // a scraper's request bytes are ignored
       got_bytes = true;
       conn->inbuf.append(chunk, static_cast<std::size_t>(r));
       std::size_t start = 0;
@@ -483,10 +514,14 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
         flush(conn);
         continue;
       }
+      if (t.kind == TimerKind::kScrapeDeadline) {
+        teardown(conn, false);  // no-op if the scrape already closed
+        continue;
+      }
       if (t.idle_gen != conn->idle_gen || !conn->reading) continue;
       // A silent peer past the idle budget is indistinguishable from a
       // half-open connection: stop reading, drain, close — without
-      // cancelling in-flight work, matching the threaded serve_fd.
+      // cancelling in-flight work.
       stop_reading(conn);
       try_close_if_drained(conn);
     }
@@ -515,8 +550,8 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
 
   void apply_stop() {
     stop_applied = true;
-    for (const int lfd : listeners) {
-      ::epoll_ctl(epfd, EPOLL_CTL_DEL, lfd, nullptr);
+    for (const Listener& l : listeners) {
+      ::epoll_ctl(epfd, EPOLL_CTL_DEL, l.fd, nullptr);
     }
     // Stop reading everywhere; surviving connections drain their queued
     // replies (the shutdown acknowledgment itself when stop() ran from the
@@ -528,6 +563,16 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
       stop_reading(conn);
       try_close_if_drained(conn);
     }
+  }
+
+  void add_listener(int fd, bool scrape) {
+    set_nonblocking(fd);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = fd;
+    SUU_CHECK_MSG(::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0,
+                  "epoll_ctl(ADD listener) failed: " << std::strerror(errno));
+    listeners.push_back(Listener{fd, scrape});
   }
 
   void run() {
@@ -554,10 +599,12 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
           }
           continue;
         }
-        bool is_listener = false;
-        for (const int lfd : listeners) is_listener |= (fd == lfd);
-        if (is_listener) {
-          do_accept(fd);
+        const Listener* listener = nullptr;
+        for (const Listener& l : listeners) {
+          if (l.fd == fd) listener = &l;
+        }
+        if (listener != nullptr) {
+          do_accept(*listener);
           continue;
         }
         const auto it = conns.find(fd);
@@ -585,19 +632,13 @@ EventLoop::EventLoop(Engine& engine, const Options& opt, const FaultSpec& fault)
 
 EventLoop::~EventLoop() = default;
 
-void EventLoop::add_listener(int fd) {
-  set_nonblocking(fd);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  SUU_CHECK_MSG(::epoll_ctl(impl_->epfd, EPOLL_CTL_ADD, fd, &ev) == 0,
-                "epoll_ctl(ADD listener) failed: " << std::strerror(errno));
-  impl_->listeners.push_back(fd);
-}
+void EventLoop::add_listener(int fd) { impl_->add_listener(fd, false); }
+
+void EventLoop::add_scrape_listener(int fd) { impl_->add_listener(fd, true); }
 
 void EventLoop::add_connection(int fd) {
   set_nonblocking(fd);
-  impl_->setup_conn(fd);
+  impl_->setup_conn(fd, false);
 }
 
 void EventLoop::run() { impl_->run(); }

@@ -7,8 +7,8 @@
 //
 //   * accept    — listener fds live in the same epoll set; accepted
 //                 connections enter an engine client scope
-//                 (Engine::begin_client) exactly like the threaded
-//                 transports, so dropped peers release their session pins.
+//                 (Engine::begin_client), so dropped peers release their
+//                 session pins.
 //   * read      — complete request lines are submitted to the Engine;
 //                 request execution stays on the engine's worker pool, the
 //                 loop never computes. Per-line and residual max_line_bytes
@@ -30,16 +30,27 @@
 //                 — a client that drops mid-{"stream":true} stops the
 //                 remaining shard computation, not just its output
 //                 (Engine::Stats::streams_cancelled).
-//   * timers    — idle-session timeouts and fault-injected write delays run
-//                 on a deadline-ordered timer queue ticked from the
-//                 epoll_wait timeout; no per-connection poll() thread
-//                 exists anywhere.
+//   * timers    — idle-session timeouts, scrape deadlines and
+//                 fault-injected write delays run on a deadline-ordered
+//                 timer queue ticked from the epoll_wait timeout; no
+//                 per-connection poll() thread exists anywhere.
+//   * scrape    — a scrape listener (add_scrape_listener) serves the
+//                 Prometheus endpoint from the same loop: each accepted
+//                 connection gets one close-delimited HTTP/1.0 `200 OK` +
+//                 Engine::metrics_text() reply queued at accept, its
+//                 request bytes are read and ignored, its write side is
+//                 half-closed once the reply drains, and it closes at EOF
+//                 or kScrapeDeadlineMs after accept, whichever comes first
+//                 — a total deadline, not a per-read one. Scrape
+//                 connections take no client scope and no fault plan; a
+//                 stalled or trickling scraper costs one fd, never a
+//                 thread.
 //
 // Determinism invariants are inherited, not re-proved: the loop feeds
-// Engine::submit the same lines a threaded transport would and writes reply
-// lines in completion order per connection, so responses stay
-// byte-identical to Engine::handle at any worker count (pinned by the
-// transport tests and bench_service_concurrency's reply validation).
+// Engine::submit the same lines serve_stream would and writes reply lines
+// in completion order per connection, so responses stay byte-identical to
+// Engine::handle at any worker count (pinned by the transport tests and
+// bench_service_concurrency's reply validation).
 //
 // Fault injection (service/fault.hpp) is re-expressed as loop write/close
 // hooks: delay_ms becomes a timer-wheel deadline on the queue head (other
@@ -78,7 +89,12 @@ class EventLoop {
     int idle_timeout_ms = 0;
   };
 
-  /// `fault` applies with fresh per-connection state to every connection.
+  /// Lifetime of one scrape connection, counted from accept: it is closed
+  /// at this deadline even if the peer never reads or never sends EOF.
+  static constexpr int kScrapeDeadlineMs = 2000;
+
+  /// `fault` applies with fresh per-connection state to every wire
+  /// connection (never to scrape connections).
   EventLoop(Engine& engine, const Options& opt, const FaultSpec& fault = {});
   ~EventLoop();
 
@@ -89,6 +105,11 @@ class EventLoop {
   /// loop; the listener fd itself is borrowed (the caller closes it after
   /// run() returns). Call before run().
   void add_listener(int fd);
+
+  /// Register a listening socket whose accepted connections are scrape
+  /// connections (see the header comment): one metrics reply each, no
+  /// request parsing. Borrowed like add_listener's fd. Call before run().
+  void add_scrape_listener(int fd);
 
   /// Serve an already-connected fd (socketpair, inherited socket). The
   /// loop takes ownership and closes it. Call before run().

@@ -25,9 +25,10 @@
 //   exit_after_bytes=N   _exit(42) once N bytes have been written (daemon
 //                        crash mid-line / mid-stream)
 //
-// The injector decides; the transport executes. serve_fd consults its
-// injector before each reply write and performs the delay/short
-// write/close/_exit it is told to — see service/transport.hpp.
+// The injector decides; the transport executes. The epoll EventLoop
+// consults each connection's injector before writing a reply line and
+// performs the delay/short write/close/_exit it is told to — see
+// service/eventloop.hpp.
 #pragma once
 
 #include <string>

@@ -178,6 +178,11 @@ Request parse_request(const std::string& line) {
   return req;
 }
 
+bool normalize_line(std::string& line) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return !line.empty();
+}
+
 Json parse_request_id(const std::string& line) noexcept {
   try {
     const Json root = Json::parse(line);

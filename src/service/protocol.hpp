@@ -122,6 +122,11 @@ struct Request {
 /// request and keeps slow-log lines readable.
 inline constexpr std::size_t kMaxTraceIdBytes = 128;
 
+/// Transport framing: strip a trailing '\r' from one newline-split line
+/// (CRLF tolerance) and report whether anything is left to submit. Every
+/// transport applies it before handing a line to the engine.
+bool normalize_line(std::string& line);
+
 /// Parse one request line. Throws ProtocolError (kParseError on malformed
 /// JSON, kBadRequest on a malformed envelope). On envelope errors the id
 /// is recovered when possible so the error response can still be matched;

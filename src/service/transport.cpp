@@ -2,19 +2,15 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "service/eventloop.hpp"
@@ -49,11 +45,29 @@ struct Outstanding {
   }
 };
 
-/// Strip a trailing '\r' (CRLF tolerance) and report whether anything is
-/// left to submit.
-bool normalize_line(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return !line.empty();
+/// Bind a loopback-only (127.0.0.1) listening socket; port 0 picks an
+/// ephemeral port, reported through `bound`. Throws util::CheckError on
+/// socket failures.
+int listen_loopback(std::uint16_t port, std::uint16_t* bound) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  SUU_CHECK_MSG(fd >= 0, "socket() failed: " << std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, always
+  addr.sin_port = htons(port);
+  SUU_CHECK_MSG(
+      ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0,
+      "bind to 127.0.0.1:" << port << " failed: " << std::strerror(errno));
+  // Deep backlog: the concurrency bench opens ~1000 connections in a
+  // burst, and the epoll loop accepts them all from one thread.
+  SUU_CHECK_MSG(::listen(fd, 1024) == 0,
+                "listen failed: " << std::strerror(errno));
+  socklen_t len = sizeof addr;
+  SUU_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0);
+  *bound = ntohs(addr.sin_port);
+  return fd;
 }
 
 }  // namespace
@@ -83,168 +97,26 @@ void serve_stream(Engine& engine, std::istream& in, std::ostream& out) {
   engine.end_client(client);
 }
 
-void serve_fd(Engine& engine, int fd, const FaultSpec& fault) {
-  std::mutex write_mu;
-  Outstanding pending;
-  FaultInjector injector(fault);
-  const std::uint64_t client = engine.begin_client();
-
-  auto write_line = [&](const std::string& resp) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    std::string msg = resp;
-    msg.push_back('\n');
-    // The fault injector decides how much of this line actually reaches
-    // the peer and what happens to the connection afterwards; with no
-    // faults configured it always says "all of it, nothing".
-    const FaultInjector::Action act = injector.next(msg);
-    if (act.delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(act.delay_ms));
-    }
-    std::size_t off = 0;
-    while (off < act.write_bytes) {
-      // MSG_NOSIGNAL: a peer that closed mid-reply must surface as EPIPE,
-      // not a process-killing SIGPIPE. ENOTSOCK falls back to write() for
-      // pipe fds (suu_serve ignores SIGPIPE for that path).
-      ssize_t w = ::send(fd, msg.data() + off, act.write_bytes - off,
-                         MSG_NOSIGNAL);
-      if (w < 0 && errno == ENOTSOCK) {
-        w = ::write(fd, msg.data() + off, act.write_bytes - off);
-      }
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return;  // peer gone; nothing useful left to do with this reply
-      }
-      off += static_cast<std::size_t>(w);
-    }
-    if (act.exit_after) ::_exit(42);  // crash simulation, mid-stream
-    if (act.close_after) ::shutdown(fd, SHUT_RDWR);  // wakes the read loop
-  };
-
-  // An unframed over-long line cannot be resynchronized: answer once and
-  // abandon the connection.
-  auto reject_overlong = [&] {
-    write_line(make_error_response(
-        Json(nullptr), error_code::kParseError,
-        "request line exceeds " +
-            std::to_string(engine.config().max_line_bytes) + " bytes"));
-  };
-
-  const int idle_ms = engine.config().idle_timeout_ms;
-  std::string buf;
-  char chunk[4096];
-  bool abandoned = false;
-  while (!abandoned) {
-    if (idle_ms > 0) {
-      pollfd pfd{};
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int pr = ::poll(&pfd, 1, idle_ms);
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      // A silent peer past the idle budget is indistinguishable from a
-      // half-open connection: abandon it rather than pin this thread on a
-      // read that may never return. (POLLHUP/POLLERR fall through to the
-      // read below, which reports EOF/error.)
-      if (pr == 0) break;
-    }
-    const ssize_t r = ::read(fd, chunk, sizeof chunk);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (r == 0) {
-      // Clean EOF. A final line that arrived without its trailing newline
-      // is still a request — serve_stream's getline submits it, and the
-      // fd transport must agree.
-      if (!buf.empty()) {
-        if (buf.size() > engine.config().max_line_bytes) {
-          reject_overlong();
-        } else if (normalize_line(buf)) {
-          pending.add();
-          engine.submit(
-              std::move(buf),
-              [&](std::string&& resp, bool last) {
-                write_line(resp);
-                if (last) pending.done();
-              },
-              client);
-        }
-      }
-      break;
-    }
-    buf.append(chunk, static_cast<std::size_t>(r));
-    std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buf.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = buf.substr(start, nl - start);
-      start = nl + 1;
-      // The cap applies to every extracted line, not just the residual
-      // buffer: a complete over-long line inside one read chunk must be
-      // rejected at the transport, never handed to the engine.
-      if (line.size() > engine.config().max_line_bytes) {
-        reject_overlong();
-        abandoned = true;
-        break;
-      }
-      if (!normalize_line(line)) continue;
-      pending.add();
-      engine.submit(
-          std::move(line),
-          [&](std::string&& resp, bool last) {
-            write_line(resp);
-            if (last) pending.done();
-          },
-          client);
-    }
-    if (abandoned) break;
-    buf.erase(0, start);
-    if (buf.size() > engine.config().max_line_bytes) {
-      reject_overlong();
-      abandoned = true;
-    }
-    if (engine.stopping()) break;
-  }
-  pending.drain();
-  engine.end_client(client);
-}
-
 TcpServer::TcpServer(Engine& engine, std::uint16_t port,
                      const FaultSpec& fault)
     : engine_(engine), fault_(fault) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  SUU_CHECK_MSG(listen_fd_ >= 0,
-                "socket() failed: " << std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, always
-  addr.sin_port = htons(port);
-  SUU_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof addr) == 0,
-                "bind to 127.0.0.1:" << port
-                                     << " failed: " << std::strerror(errno));
-  // Deep backlog: the concurrency bench opens ~1000 connections in a
-  // burst, and the epoll loop accepts them all from one thread.
-  SUU_CHECK_MSG(::listen(listen_fd_, 1024) == 0,
-                "listen failed: " << std::strerror(errno));
-  socklen_t len = sizeof addr;
-  SUU_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                          &len) == 0);
-  port_ = ntohs(addr.sin_port);
+  listen_fd_ = listen_loopback(port, &port_);
   engine_.set_shutdown_hook([this] { stop(); });
 }
 
 TcpServer::~TcpServer() {
   engine_.set_shutdown_hook(nullptr);
   stop();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  for (int* fd : {&listen_fd_, &metrics_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
+}
+
+std::uint16_t TcpServer::listen_metrics(std::uint16_t port) {
+  std::uint16_t bound = 0;
+  metrics_fd_ = listen_loopback(port, &bound);
+  return bound;
 }
 
 void TcpServer::run() {
@@ -254,6 +126,7 @@ void TcpServer::run() {
   opt.idle_timeout_ms = engine_.config().idle_timeout_ms;
   EventLoop loop(engine_, opt, fault_);
   loop.add_listener(listen_fd_);
+  if (metrics_fd_ >= 0) loop.add_scrape_listener(metrics_fd_);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopped_) return;  // stop() raced ahead of run()
@@ -268,101 +141,16 @@ void TcpServer::stop() {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopped_) return;
   stopped_ = true;
-  // Wake the loop's accept path; the fd itself is closed in the
-  // destructor, after run() has returned, so the descriptor number cannot
+  // Wake the loop's accept path; the fds themselves are closed in the
+  // destructor, after run() has returned, so a descriptor number cannot
   // be reused early.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  for (const int fd : {listen_fd_, metrics_fd_}) {
+    if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+  }
   // The loop stops reading everywhere but keeps writing: queued replies —
   // the shutdown acknowledgment itself when stop() runs from the engine's
   // shutdown hook — still drain to clients before run() returns.
   if (loop_ != nullptr) loop_->stop();
-}
-
-MetricsServer::MetricsServer(Engine& engine, std::uint16_t port,
-                             std::function<std::string()> body)
-    : engine_(engine), body_(std::move(body)) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  SUU_CHECK_MSG(listen_fd_ >= 0,
-                "socket() failed: " << std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  SUU_CHECK_MSG(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof addr) == 0,
-                "metrics bind to 127.0.0.1:"
-                    << port << " failed: " << std::strerror(errno));
-  SUU_CHECK_MSG(::listen(listen_fd_, 16) == 0,
-                "metrics listen failed: " << std::strerror(errno));
-  socklen_t len = sizeof addr;
-  SUU_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                          &len) == 0);
-  port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // listener shut down by stop()
-      }
-      // A scraper that connects but never reads must not pin this thread:
-      // once the socket buffer fills, each blocking write is bounded by
-      // the send timeout below and the connection is abandoned (mirroring
-      // the 2s receive-side drain bound).
-      timeval send_tv{};
-      send_tv.tv_sec = 2;
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_tv, sizeof send_tv);
-      // Serve the scrape without waiting for (or parsing) the HTTP request
-      // line: HTTP/1.0 with Connection: close is delimited by EOF, so
-      // writing immediately and closing is a valid exchange for every
-      // scraper this endpoint targets.
-      const std::string body = body_ ? body_() : engine_.metrics_text();
-      std::string resp =
-          "HTTP/1.0 200 OK\r\n"
-          "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-          "Content-Length: " +
-          std::to_string(body.size()) +
-          "\r\n"
-          "Connection: close\r\n\r\n";
-      resp += body;
-      std::size_t off = 0;
-      while (off < resp.size()) {
-        const ssize_t w = ::write(fd, resp.data() + off, resp.size() - off);
-        if (w < 0 && errno == EINTR) continue;
-        if (w <= 0) break;  // peer gone, or send timeout: stalled scraper
-        off += static_cast<std::size_t>(w);
-      }
-      ::shutdown(fd, SHUT_WR);
-      // Let the peer finish sending its request before we close, so it
-      // never sees a reset ahead of the body: drain until EOF, bounded by
-      // a receive timeout so a stuck peer cannot pin the accept thread.
-      timeval tv{};
-      tv.tv_sec = 2;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-      char drain[512];
-      while (::read(fd, drain, sizeof drain) > 0) {
-      }
-      ::close(fd);
-    }
-  });
-}
-
-MetricsServer::~MetricsServer() {
-  stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void MetricsServer::stop() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopped_) return;
-  stopped_ = true;
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
 }
 
 }  // namespace suu::service

@@ -10,47 +10,39 @@
 //
 //   serve_stream — std::istream/std::ostream pair; stdio mode and
 //                  in-memory tests.
-//   serve_fd     — a connected file descriptor (socketpair, TCP socket);
-//                  one blocking reader thread per fd.
 //   TcpServer    — loopback-only listener; every accepted connection is
 //                  multiplexed onto one epoll EventLoop
 //                  (service/eventloop.hpp), so concurrent session count is
-//                  bounded by fds, not threads.
+//                  bounded by fds, not threads. The optional Prometheus
+//                  scrape endpoint (listen_metrics) is a second listener
+//                  on the same loop.
 //
-// Session hygiene: each transport loop runs inside an engine client scope
+// Session hygiene: each wire connection runs inside an engine client scope
 // (Engine::begin_client/end_client), so instance handles opened over a
 // connection are released — and their PrecomputeCache pins dropped — when
 // the connection ends for ANY reason: clean EOF, write error, over-long
 // line, or idle timeout. A peer that vanishes without close_instance
 // cannot leak pinned cache entries.
 //
-// Liveness: with Engine::Config::idle_timeout_ms set, serve_fd polls the
-// descriptor and abandons a connection whose peer stays silent past the
-// timeout — a half-open TCP peer (pulled cable, killed process on a quiet
-// link) cannot pin a reader thread forever.
-//
-// Fault injection (tests and the fan-out demo only): serve_fd and
-// TcpServer accept a service::FaultSpec whose deterministic triggers
-// (delay, drop after N bytes, truncate reply line K, _exit mid-stream)
-// fire on the reply write path — see service/fault.hpp.
+// Fault injection (tests and the fan-out demo only): TcpServer accepts a
+// service::FaultSpec whose deterministic triggers (delay, drop after N
+// bytes, truncate reply line K, _exit mid-stream) fire on the event loop's
+// reply write path — see service/fault.hpp.
 //
 // Shutdown: when the engine processes a shutdown request its stopping()
-// flag flips and its shutdown hook runs. serve_stream/serve_fd stop
-// reading once stopping() is observed — but a read already blocked on an
-// idle peer only wakes when bytes or EOF arrive, so stream/fd clients are
-// expected to half-close after a shutdown request. TcpServer has a real
-// wakeup: its hook shuts the listener down and stops the event loop, which
-// stops reading everywhere, drains queued replies (the shutdown
-// acknowledgment included), and returns — one wire shutdown winds down the
-// whole server without client help.
+// flag flips and its shutdown hook runs. serve_stream stops reading once
+// stopping() is observed — but a read already blocked on an idle peer
+// only wakes when bytes or EOF arrive, so stdio clients are expected to
+// half-close after a shutdown request. TcpServer has a real wakeup: its
+// hook shuts the listeners down and stops the event loop, which stops
+// reading everywhere, drains queued replies (the shutdown acknowledgment
+// included), and returns — one wire shutdown winds down the whole server
+// without client help.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <mutex>
-#include <string>
-#include <thread>
 
 #include "service/engine.hpp"
 #include "service/fault.hpp"
@@ -64,23 +56,13 @@ class EventLoop;
 /// scope: handles opened on this stream are released when it ends.
 void serve_stream(Engine& engine, std::istream& in, std::ostream& out);
 
-/// Serve a connected, bidirectional fd until EOF/error, engine shutdown,
-/// or — when the engine's idle_timeout_ms is set — a read-idle timeout.
-/// Drains outstanding replies before returning; does not close `fd`.
-/// A line longer than the engine's max_line_bytes gets one error response,
-/// after which the connection is abandoned (resynchronizing an unframed
-/// over-long line is not possible). Handles opened over the fd are
-/// released on return. `fault` (optional) injects deterministic reply
-/// faults for failover tests.
-void serve_fd(Engine& engine, int fd, const FaultSpec& fault = {});
-
 /// Loopback (127.0.0.1) TCP listener over an Engine.
 class TcpServer {
  public:
   /// Bind and listen; port 0 picks an ephemeral port (see port()).
   /// Installs the engine's shutdown hook so a shutdown request stops the
   /// server. Throws util::CheckError on socket failures. `fault` applies
-  /// (with fresh per-connection state) to every accepted connection.
+  /// (with fresh per-connection state) to every accepted wire connection.
   TcpServer(Engine& engine, std::uint16_t port = 0,
             const FaultSpec& fault = {});
   ~TcpServer();
@@ -89,6 +71,16 @@ class TcpServer {
   TcpServer& operator=(const TcpServer&) = delete;
 
   std::uint16_t port() const noexcept { return port_; }
+
+  /// Bind the loopback Prometheus scrape endpoint (`suu_serve
+  /// --metrics-port`) as a second listener on run()'s loop; port 0 picks
+  /// an ephemeral port. Returns the bound port. Every accepted connection
+  /// gets one close-delimited HTTP/1.0 `200 OK` + Engine::metrics_text()
+  /// reply and is closed within EventLoop::kScrapeDeadlineMs — enough for
+  /// Prometheus, curl and tools/suu_metrics, with no request parsing to
+  /// harden. Call at most once, before run(). Throws util::CheckError on
+  /// socket failures.
+  std::uint16_t listen_metrics(std::uint16_t port = 0);
 
   /// Serve: every accepted connection is multiplexed onto one epoll
   /// EventLoop (nonblocking reads/writes, bounded outbound queues, stream
@@ -106,41 +98,11 @@ class TcpServer {
   Engine& engine_;
   FaultSpec fault_;
   int listen_fd_ = -1;
+  int metrics_fd_ = -1;
   std::uint16_t port_ = 0;
   std::mutex mu_;  // guards loop_, stopped_
   EventLoop* loop_ = nullptr;  // run()'s loop, while run() is live
   bool stopped_ = false;
-};
-
-/// Loopback (127.0.0.1) Prometheus scrape endpoint (`suu_serve
-/// --metrics-port`): a tiny close-delimited HTTP/1.0 responder. Every
-/// accepted connection gets one `200 OK` + Engine::metrics_text() body and
-/// is closed — enough for Prometheus, curl, and tools/suu_metrics, with no
-/// request parsing to harden. Runs its own accept thread; the constructor
-/// binds (port 0 picks an ephemeral port) and the destructor stops it.
-class MetricsServer {
- public:
-  /// `body` (tests only) overrides Engine::metrics_text() as the scrape
-  /// body — e.g. to make the response large enough to exercise the send
-  /// timeout against a stalled peer.
-  MetricsServer(Engine& engine, std::uint16_t port = 0,
-                std::function<std::string()> body = nullptr);
-  ~MetricsServer();
-
-  MetricsServer(const MetricsServer&) = delete;
-  MetricsServer& operator=(const MetricsServer&) = delete;
-
-  std::uint16_t port() const noexcept { return port_; }
-  void stop();
-
- private:
-  Engine& engine_;
-  std::function<std::string()> body_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::mutex mu_;
-  bool stopped_ = false;
-  std::thread accept_thread_;
 };
 
 }  // namespace suu::service

@@ -1,6 +1,6 @@
 // suu::serve end-to-end coverage: the hardened JSON layer, the protocol
 // envelope, the engine's determinism / single-flight / admission-control /
-// session / streamed-shard invariants, and the stream/fd/TCP transports —
+// session / streamed-shard invariants, and the stream and epoll transports —
 // including the acceptance paths: wire responses byte-identical to direct
 // api calls, concatenated shard envelopes byte-identical to
 // ExperimentRunner::print_json over the canonical shard grid at any worker
@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -1030,11 +1031,21 @@ std::map<std::string, std::string> client_round_trip(
   return by_id;
 }
 
+/// The event-loop limits TcpServer derives from an engine's Config, for
+/// tests that hand socketpairs straight to an EventLoop.
+EventLoop::Options loop_options(const Engine& engine) {
+  EventLoop::Options opt;
+  opt.max_line_bytes = engine.config().max_line_bytes;
+  opt.max_outbound_bytes = engine.config().max_outbound_bytes;
+  opt.idle_timeout_ms = engine.config().idle_timeout_ms;
+  return opt;
+}
+
 }  // namespace
 
-// The satellite acceptance: N clients issuing interleaved requests over
-// socketpairs get byte-deterministic per-request responses regardless of
-// worker count.
+// N clients issuing interleaved requests over socketpairs multiplexed onto
+// one event loop get byte-deterministic per-request responses regardless
+// of worker count.
 TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts) {
   constexpr int kClients = 3;
   const std::string indep = quoted(payload(independent_instance(6, 3, 31)));
@@ -1061,7 +1072,7 @@ TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts
     Engine::Config cfg;
     cfg.workers = workers;
     Engine engine(cfg);
-    std::vector<std::thread> servers;
+    EventLoop loop(engine, loop_options(engine));
     std::vector<std::thread> clients;
     std::vector<int> client_fds(kClients);
     std::mutex merge_mu;
@@ -1070,12 +1081,11 @@ TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts
       int sv[2];
       EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0)
           << "socketpair failed";
-      const int server_fd = sv[0];
+      loop.add_connection(sv[0]);  // the loop owns and closes it
       client_fds[c] = sv[1];
-      servers.emplace_back([&engine, server_fd] {
-        serve_fd(engine, server_fd);
-        ::close(server_fd);
-      });
+    }
+    std::thread loop_thread([&] { loop.run(); });
+    for (int c = 0; c < kClients; ++c) {
       clients.emplace_back([&, c] {
         auto by_id = client_round_trip(client_fds[c], requests[c]);
         ::close(client_fds[c]);
@@ -1084,7 +1094,8 @@ TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts
       });
     }
     for (std::thread& t : clients) t.join();
-    for (std::thread& t : servers) t.join();
+    loop.stop();
+    loop_thread.join();
     return merged;
   };
 
@@ -1110,32 +1121,39 @@ TEST(ServiceTransport, SocketpairResponsesAreByteDeterministicAcrossWorkerCounts
   }
 }
 
+// An unframed over-long line (the residual buffer passes the cap with no
+// newline in sight) gets one typed error, then the loop abandons the
+// connection on its own: the peer never half-closes, yet reads EOF.
 TEST(ServiceTransport, OverlongLineGetsErrorAndConnectionAbandoned) {
   Engine::Config cfg;
   cfg.max_line_bytes = 256;
   Engine engine(cfg);
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::thread server([&] {
-    serve_fd(engine, sv[0]);
-    ::close(sv[0]);
-  });
   const std::string huge(1024, 'x');  // no newline: unframed over-long line
   ASSERT_EQ(::write(sv[1], huge.data(), huge.size()),
             static_cast<ssize_t>(huge.size()));
+  EventLoop loop(engine, loop_options(engine));
+  loop.add_connection(sv[0]);
+  std::thread loop_thread([&] { loop.run(); });
   std::string received;
   char buf[512];
   for (;;) {
     const ssize_t r = ::read(sv[1], buf, sizeof buf);
+    if (r < 0 && errno == EINTR) continue;
     if (r <= 0) break;
     received.append(buf, static_cast<std::size_t>(r));
   }
-  server.join();
+  loop.stop();
+  loop_thread.join();
   ::close(sv[1]);
+  ASSERT_NE(received.find('\n'), std::string::npos);
+  EXPECT_EQ(received.find('\n'), received.size() - 1) << "exactly one reply";
   const Json resp = Json::parse(received.substr(0, received.find('\n')));
   EXPECT_FALSE(resp.find("ok")->as_bool("ok"));
   EXPECT_EQ(resp.find("error")->find("code")->as_string("code"),
             error_code::kParseError);
+  EXPECT_EQ(engine.stats().received, 0u) << "rejected at the transport";
 }
 
 TEST(ServiceTransport, TcpEndToEndWithWireShutdown) {
@@ -1316,50 +1334,14 @@ TEST(ServiceFault, InjectorTruncatesClosesAndExits) {
   }
 }
 
-TEST(ServiceTransport, IdleTimeoutAbandonsSilentPeer) {
-  Engine::Config cfg;
-  cfg.idle_timeout_ms = 50;
-  Engine engine(cfg);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::thread server([&] {
-    serve_fd(engine, sv[0]);
-    ::close(sv[0]);
-  });
-  // One request proves activity resets the clock; then go silent. A
-  // half-open peer used to park the reader forever — now the server must
-  // hang up on its own.
-  const std::string req =
-      R"({"id":1,"method":"list_solvers"})" "\n";
-  ASSERT_EQ(::write(sv[1], req.data(), req.size()),
-            static_cast<ssize_t>(req.size()));
-  const auto t0 = std::chrono::steady_clock::now();
-  std::string received;
-  char buf[4096];
-  for (;;) {  // reply, then EOF once the server times us out
-    const ssize_t r = ::read(sv[1], buf, sizeof buf);
-    if (r <= 0) break;
-    received.append(buf, static_cast<std::size_t>(r));
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  server.join();
-  ::close(sv[1]);
-  EXPECT_TRUE(Json::parse(received.substr(0, received.find('\n')))
-                  .find("ok")
-                  ->as_bool("ok"));
-  EXPECT_GE(elapsed, std::chrono::milliseconds(40));
-  EXPECT_LT(elapsed, std::chrono::seconds(10));
-}
-
 TEST(ServiceTransport, DroppedConnectionReleasesPinsAndCountsSession) {
   const std::size_t base_pinned = api::PrecomputeCache::global().stats().pinned;
   Engine engine;
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  std::thread server([&] {
-    serve_fd(engine, sv[0]);
-    ::close(sv[0]);
-  });
+  EventLoop loop(engine, loop_options(engine));
+  loop.add_connection(sv[0]);
+  std::thread loop_thread([&] { loop.run(); });
 
   // Sequential round-trips so the pin can be observed while the
   // connection is still up. Fresh engine: the first handle is 1.
@@ -1384,9 +1366,11 @@ TEST(ServiceTransport, DroppedConnectionReleasesPinsAndCountsSession) {
       << "an estimate through an open handle must pin its cache entry";
 
   // Drop the connection without close_instance — the session teardown
-  // must release the pin, not leak it until engine destruction.
+  // must release the pin, not leak it until engine destruction. run()
+  // returns only once the dropped connection has been torn down.
   ::close(sv[1]);
-  server.join();
+  loop.stop();
+  loop_thread.join();
   EXPECT_EQ(api::PrecomputeCache::global().stats().pinned, base_pinned);
   const Json stats =
       Json::parse(engine.handle(R"({"id":"s","method":"stats"})"));
@@ -1439,9 +1423,8 @@ int connect_loopback(std::uint16_t port) {
 }  // namespace
 
 // Bugfix regression: a final request line that arrives without a trailing
-// newline at EOF is still a request, on every transport. serve_fd used to
-// drop it (its read loop only submitted up to the last '\n') while
-// serve_stream's getline served it — stdio, fd, and TCP must agree.
+// newline at EOF is still a request, on every transport: serve_stream's
+// getline serves it, and the event loop's framer must agree.
 TEST(ServiceTransport, FinalLineWithoutNewlineAtEofIsServedOnAllTransports) {
   const std::string req = R"({"id":"last","method":"list_solvers"})";
   Engine reference;
@@ -1453,19 +1436,6 @@ TEST(ServiceTransport, FinalLineWithoutNewlineAtEofIsServedOnAllTransports) {
     std::ostringstream out;
     serve_stream(engine, in, out);
     EXPECT_EQ(out.str(), want);
-  }
-  {  // fd transport
-    Engine engine;
-    int sv[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    std::thread server([&] {
-      serve_fd(engine, sv[0]);
-      ::close(sv[0]);
-    });
-    const std::string received = raw_round_trip(sv[1], req);
-    server.join();
-    ::close(sv[1]);
-    EXPECT_EQ(received, want);
   }
   {  // TCP (epoll event loop) transport
     Engine engine;
@@ -1489,55 +1459,60 @@ TEST(ServiceTransport, CompleteOverlongLineInOneChunkIsRejectedAtTransport) {
   bytes += "\n";  // complete, newline-framed, over the 256-byte cap
   bytes += R"({"id":"after","method":"list_solvers"})" "\n";
 
-  for (const bool tcp : {false, true}) {
-    Engine::Config cfg;
-    cfg.max_line_bytes = 256;
-    Engine engine(cfg);
-    std::string received;
-    if (!tcp) {
-      int sv[2];
-      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-      std::thread server([&] {
-        serve_fd(engine, sv[0]);
-        ::close(sv[0]);
-      });
-      received = raw_round_trip(sv[1], bytes);
-      server.join();
-      ::close(sv[1]);
-    } else {
-      TcpServer server(engine, 0);
-      std::thread server_thread([&] { server.run(); });
-      const int fd = connect_loopback(server.port());
-      received = raw_round_trip(fd, bytes);
-      ::close(fd);
-      server.stop();
-      server_thread.join();
-    }
-    // Exactly one reply — the typed error — then the abandoned connection
-    // closes; the request behind the over-long line is never answered.
-    ASSERT_NE(received.find('\n'), std::string::npos) << "tcp=" << tcp;
-    EXPECT_EQ(received.find('\n'), received.size() - 1) << "tcp=" << tcp;
-    const Json resp = Json::parse(received.substr(0, received.find('\n')));
-    EXPECT_FALSE(resp.find("ok")->as_bool("ok"));
-    EXPECT_EQ(resp.find("error")->find("code")->as_string("code"),
-              error_code::kParseError);
-    // The transport rejected it: nothing ever reached the engine.
-    EXPECT_EQ(engine.stats().received, 0u) << "tcp=" << tcp;
-  }
+  Engine::Config cfg;
+  cfg.max_line_bytes = 256;
+  Engine engine(cfg);
+  TcpServer server(engine, 0);
+  std::thread server_thread([&] { server.run(); });
+  const int fd = connect_loopback(server.port());
+  const std::string received = raw_round_trip(fd, bytes);
+  ::close(fd);
+  server.stop();
+  server_thread.join();
+  // Exactly one reply — the typed error — then the abandoned connection
+  // closes; the request behind the over-long line is never answered.
+  ASSERT_NE(received.find('\n'), std::string::npos);
+  EXPECT_EQ(received.find('\n'), received.size() - 1);
+  const Json resp = Json::parse(received.substr(0, received.find('\n')));
+  EXPECT_FALSE(resp.find("ok")->as_bool("ok"));
+  EXPECT_EQ(resp.find("error")->find("code")->as_string("code"),
+            error_code::kParseError);
+  // The transport rejected it: nothing ever reached the engine.
+  EXPECT_EQ(engine.stats().received, 0u);
 }
 
-// Bugfix regression: a scraper that connects but never reads must not
-// wedge the metrics endpoint. The blocking response write used to have no
-// send timeout, pinning the single accept thread forever; now the stalled
-// connection is abandoned and later scrapes succeed.
+// Bugfix regression: neither a scraper that never reads nor one that
+// trickles request bytes forever may wedge the metrics endpoint or the
+// wire listener beside it. The endpoint used to run on one accept thread
+// whose request drain had a per-read receive timeout, so a peer sending
+// one byte per second pinned it and every later scrape hung. Scrape
+// connections now live on the TCP event loop and close at a total
+// deadline counted from accept.
 TEST(ServiceMetrics, StalledScraperDoesNotWedgeEndpoint) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
   Engine engine;
-  // A body far larger than any socket buffering, so the write to the
-  // stalled peer must block (and then hit the send timeout).
-  const std::string big(std::size_t{16} << 20, 'x');
-  MetricsServer metrics(engine, 0, [&big] { return big; });
+  TcpServer server(engine, 0);
+  const std::uint16_t metrics_port = server.listen_metrics(0);
+  // Every read below is bounded, so a wedged endpoint fails the test
+  // instead of hanging it.
+  const auto read_all = [](int fd, int timeout_s, bool* eof) {
+    const timeval tv{timeout_s, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    std::string out;
+    char buf[65536];
+    for (;;) {
+      const ssize_t r = ::read(fd, buf, sizeof buf);
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) {
+        *eof = r == 0 || errno == ECONNRESET;
+        return out;
+      }
+      out.append(buf, static_cast<std::size_t>(r));
+    }
+  };
 
-  // The stalled peer: tiny receive window, connects, never reads.
+  // The never-reading peer: tiny receive window, connects, never reads.
   const int stalled = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(stalled, 0);
   const int rcv = 4096;
@@ -1545,28 +1520,97 @@ TEST(ServiceMetrics, StalledScraperDoesNotWedgeEndpoint) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(metrics.port());
+  addr.sin_port = htons(metrics_port);
   ASSERT_EQ(
       ::connect(stalled, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
 
-  // A live scrape behind it must still complete once the send timeout
-  // frees the accept thread (bounded, not hung).
-  const auto t0 = std::chrono::steady_clock::now();
-  const int fd = connect_loopback(metrics.port());
-  std::string response;
-  char buf[65536];
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0 && errno == EINTR) continue;
-    if (r <= 0) break;
-    response.append(buf, static_cast<std::size_t>(r));
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  // The trickling peer: one request byte per second, never closes. Both
+  // peers queue on the listen backlog until the loop starts.
+  const int trickler = connect_loopback(metrics_port);
+  const auto trickle_start = steady_clock::now();
+  std::thread server_thread([&] { server.run(); });
+  std::atomic<bool> done{false};
+  std::thread trickle([&] {
+    while (!done.load()) {
+      // Fails with EPIPE once the server has closed us; keep trickling.
+      (void)::send(trickler, "G", 1, MSG_NOSIGNAL);
+      for (int i = 0; i < 20 && !done.load(); ++i) {
+        std::this_thread::sleep_for(milliseconds(50));
+      }
+    }
+  });
+  std::this_thread::sleep_for(milliseconds(200));  // both peers accepted
+
+  // A live scrape still completes promptly with both peers connected.
+  const auto t0 = steady_clock::now();
+  const int fd = connect_loopback(metrics_port);
+  const std::string get = "GET /metrics HTTP/1.0\r\n\r\n";
+  // Threads are live from here on: EXPECT, never ASSERT, so a failure
+  // still reaches the joins below.
+  EXPECT_EQ(::write(fd, get.data(), get.size()),
+            static_cast<ssize_t>(get.size()));
+  bool eof = false;
+  const std::string response = read_all(fd, 5, &eof);
+  const auto elapsed = steady_clock::now() - t0;
   ::close(fd);
+  EXPECT_TRUE(eof) << "the scrape reply is close-delimited";
+  EXPECT_LT(elapsed, std::chrono::seconds(3));
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
+  const std::size_t head_end = response.find("\r\n\r\n");
+  EXPECT_NE(head_end, std::string::npos);
+  const std::string body =
+      head_end == std::string::npos ? "" : response.substr(head_end + 4);
+  EXPECT_NE(response.find("Content-Length: " + std::to_string(body.size()) +
+                          "\r\n"),
+            std::string::npos);
+  EXPECT_NE(body.find("suu_build_info"), std::string::npos);
+
+  // Wire requests on the same server keep getting answered meanwhile.
+  const int wire = connect_loopback(server.port());
+  const timeval wire_tv{3, 0};
+  ::setsockopt(wire, SOL_SOCKET, SO_RCVTIMEO, &wire_tv, sizeof wire_tv);
+  for (int i = 0; i < 3; ++i) {
+    const std::string req = R"({"id":)" + std::to_string(i) +
+                            R"(,"method":"list_solvers"})" "\n";
+    EXPECT_EQ(::write(wire, req.data(), req.size()),
+              static_cast<ssize_t>(req.size()));
+    std::string line;
+    char c = 0;
+    while (::read(wire, &c, 1) == 1 && c != '\n') line.push_back(c);
+    if (line.empty()) {
+      ADD_FAILURE() << "wire request " << i << " not answered";
+      break;
+    }
+    EXPECT_TRUE(Json::parse(line).find("ok")->as_bool("ok"));
+  }
+  ::close(wire);
+
+  // The trickler gets its reply (then EOF: the server half-closes once the
+  // reply is out) and is closed at the scrape deadline — a total bound its
+  // steady bytes do not extend. A byte sent to a closed socket draws a
+  // reset, so probing with sends detects the close.
+  eof = false;
+  const std::string trickled = read_all(trickler, 5, &eof);
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(trickled.rfind("HTTP/1.0 200 OK\r\n", 0), 0u);
+  bool closed = false;
+  while (!closed &&
+         steady_clock::now() - trickle_start < std::chrono::seconds(10)) {
+    closed = ::send(trickler, "G", 1, MSG_NOSIGNAL) < 0;
+    std::this_thread::sleep_for(milliseconds(50));
+  }
+  const auto trickler_life = steady_clock::now() - trickle_start;
+  EXPECT_TRUE(closed) << "the server must close a trickling scraper";
+  EXPECT_GE(trickler_life, milliseconds(EventLoop::kScrapeDeadlineMs));
+  EXPECT_LT(trickler_life,
+            milliseconds(EventLoop::kScrapeDeadlineMs + 3000));
+
+  done = true;
+  trickle.join();
+  server.stop();
+  server_thread.join();
+  ::close(trickler);
   ::close(stalled);
-  EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_GE(response.size(), big.size());
-  EXPECT_LT(elapsed, std::chrono::seconds(30));
 }
 
 // A client that drops mid-{"stream":true} stops the remaining shard
@@ -1656,8 +1700,9 @@ TEST(ServiceTransport, SlowReaderExceedingOutboundBoundIsDropped) {
             std::string::npos);
 }
 
-// The idle timeout now lives on the event loop's timer queue: a silent TCP
-// peer is hung up on without any per-connection poll() thread.
+// The idle timeout lives on the event loop's timer queue: after one
+// answered request a silent TCP peer is hung up on by the server itself
+// (the peer never half-closes), without any per-connection poll() thread.
 TEST(ServiceTransport, TcpIdleTimeoutClosesSilentConnection) {
   Engine::Config cfg;
   cfg.idle_timeout_ms = 50;

@@ -23,9 +23,11 @@
 // disconnect a slow reader once B reply bytes are queued unwritten on its
 // connection; the epoll loop's backpressure bound).
 //
-// Observability (docs/observability.md): --metrics-port=P serves the
-// Prometheus text exposition on loopback (0 picks an ephemeral port,
-// announced as "metrics <port>" on stdout); --slow-log-ms=N dumps a span
+// Observability (docs/observability.md): --metrics-port=P (tcp only; exit
+// 2 with --mode=stdio, whose embedders use the in-band `metrics` method)
+// serves the Prometheus text exposition on loopback from the wire
+// listener's event loop (0 picks an ephemeral port, announced as
+// "metrics <port>" on stdout); --slow-log-ms=N dumps a span
 // trace to stderr for any request at least that slow; --no-obs disables
 // all metric/span recording at runtime; --version prints the build
 // identity (also exported as the suu_build_info metric) and exits.
@@ -46,8 +48,6 @@
 #include <iostream>
 #include <string>
 
-#include <memory>
-
 #include "api/precompute_cache.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
@@ -67,6 +67,11 @@ int main(int argc, char** argv) {
   const std::string mode = args.get_string("mode", "stdio");
   if (mode != "stdio" && mode != "tcp") {
     std::cerr << "suu_serve: --mode must be stdio or tcp\n";
+    return 2;
+  }
+  if (mode == "stdio" && args.has("metrics-port")) {
+    std::cerr << "suu_serve: --metrics-port requires --mode=tcp (stdio "
+                 "embedders use the in-band metrics method)\n";
     return 2;
   }
 
@@ -106,14 +111,6 @@ int main(int argc, char** argv) {
   }
 
   service::Engine engine(cfg);
-  // --metrics-port with no value (or 0) picks an ephemeral port; the bound
-  // port is announced like the tcp listener's so scripts can scrape it.
-  std::unique_ptr<service::MetricsServer> metrics;
-  if (args.has("metrics-port")) {
-    metrics = std::make_unique<service::MetricsServer>(
-        engine, static_cast<std::uint16_t>(args.get_int("metrics-port", 0)));
-    std::cout << "metrics " << metrics->port() << std::endl;
-  }
   if (mode == "stdio") {
     service::serve_stream(engine, std::cin, std::cout);
     return 0;
@@ -122,6 +119,14 @@ int main(int argc, char** argv) {
                             static_cast<std::uint16_t>(
                                 args.get_int("port", 0)),
                             fault);
+  // --metrics-port with no value (or 0) picks an ephemeral port; the bound
+  // port is announced like the tcp listener's so scripts can scrape it.
+  if (args.has("metrics-port")) {
+    std::cout << "metrics "
+              << server.listen_metrics(static_cast<std::uint16_t>(
+                     args.get_int("metrics-port", 0)))
+              << std::endl;
+  }
   std::cout << "listening " << server.port() << std::endl;
   server.run();
   engine.drain();
