@@ -151,10 +151,6 @@ BENCHMARK_CAPTURE(revised_lp1_pricing, devex, lp::PricingRule::Devex)
     ->Name("BM_RevisedLp1Pricing/devex")
     ->Arg(256)
     ->Arg(1024);
-BENCHMARK_CAPTURE(revised_lp1_pricing, steepest, lp::PricingRule::Steepest)
-    ->Name("BM_RevisedLp1Pricing/steepest")
-    ->Arg(256)
-    ->Arg(1024);
 
 void BM_FrankWolfeLp1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -210,50 +206,6 @@ void BM_Lp2ChainsPipeline(benchmark::State& state) {
       static_cast<double>(fallbacks.value() - fallbacks_before) / iters);
 }
 BENCHMARK(BM_Lp2ChainsPipeline)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
-
-// Warm vs cold LP2 re-solve: the BlockCache / perturbed-rhs pattern. Cold
-// runs two-phase from scratch each time; warm chains a WarmStart handle, so
-// after the first solve every re-solve seeds phase 2 directly from the
-// previous optimal basis (phase 1 skipped; "p1_pivots" records the phase-1
-// share actually paid per solve). Note the pivot counters exclude the
-// warm install's per-row basis eliminations (see Solution::iterations), so
-// the honest warm-vs-cold comparison is wall time, with the counters
-// showing where the priced iterations went.
-void lp2_resolve_bench(benchmark::State& state, bool warm_start) {
-  const int n_chains = static_cast<int>(state.range(0));
-  util::Rng rng(14);
-  core::Instance inst = core::make_chains(
-      n_chains, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
-  const auto chains = inst.dag().chains();
-  lp::WarmStart warm;
-  if (warm_start) {
-    // Seed the handle: the measured loop then re-solves warm throughout.
-    rounding::solve_and_round_lp2(inst, chains, &warm);
-  }
-  std::int64_t pivots = 0, p1 = 0;
-  for (auto _ : state) {
-    const rounding::Lp2Result res = rounding::solve_and_round_lp2(
-        inst, chains, warm_start ? &warm : nullptr);
-    pivots += res.simplex_iterations;
-    p1 += res.simplex_phase1_iterations;
-    benchmark::DoNotOptimize(res.t_fractional);
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["pivots"] =
-      benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["p1_pivots"] =
-      benchmark::Counter(static_cast<double>(p1) / iters);
-}
-
-void BM_Lp2ResolveCold(benchmark::State& state) {
-  lp2_resolve_bench(state, false);
-}
-BENCHMARK(BM_Lp2ResolveCold)->Arg(4)->Arg(16);
-
-void BM_Lp2ResolveWarm(benchmark::State& state) {
-  lp2_resolve_bench(state, true);
-}
-BENCHMARK(BM_Lp2ResolveWarm)->Arg(4)->Arg(16);
 
 void BM_Dinic(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

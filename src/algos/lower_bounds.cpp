@@ -22,8 +22,7 @@ LowerBound lower_bound_chains(const core::Instance& inst,
                               const rounding::Lp1Options& opt) {
   LowerBound lb = lower_bound_independent(inst, opt);
   const rounding::Lp2Result lp2 =
-      rounding::solve_and_round_lp2(inst, chains, nullptr, opt.engine,
-                                    opt.pricing);
+      rounding::solve_and_round_lp2(inst, chains, opt.engine, opt.pricing);
   lb.lp2_half = lp2.t_fractional / 2.0;
   lb.value = std::max(lb.value, lb.lp2_half);
   return lb;

@@ -1,6 +1,5 @@
 #include "algos/suu_t.hpp"
 
-#include "lp/simplex.hpp"
 #include "util/check.hpp"
 
 namespace suu::algos {
@@ -12,14 +11,12 @@ SuuTPolicy::SuuTPolicy(SuuCPolicy::Config cfg,
     : cfg_(std::move(cfg)), cache_(std::move(cache)) {}
 
 std::shared_ptr<const SuuTPolicy::BlockCache> SuuTPolicy::precompute(
-    const core::Instance& inst, bool warm_start, lp::SimplexEngine engine,
+    const core::Instance& inst, lp::SimplexEngine engine,
     lp::PricingRule pricing) {
   auto cache = std::make_shared<BlockCache>();
   cache->decomp = chains::decompose_forest(inst.dag());
-  lp::WarmStart warm;
   for (const auto& block : cache->decomp.blocks) {
-    cache->lp2.push_back(SuuCPolicy::precompute(
-        inst, block, warm_start ? &warm : nullptr, engine, pricing));
+    cache->lp2.push_back(SuuCPolicy::precompute(inst, block, engine, pricing));
   }
   return cache;
 }

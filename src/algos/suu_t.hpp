@@ -32,18 +32,10 @@ class SuuTPolicy : public sim::Policy {
   sched::Assignment decide(const sim::ExecState& state) override;
 
   /// Deterministic per-instance work: heavy-path decomposition plus one
-  /// LP2 solve+round per block. With `warm_start` (the suu::api default as
-  /// of the revised-simplex PR), a simplex warm-start handle is chained
-  /// across the blocks in order, so every block whose program is
-  /// structurally identical to its predecessor's (same machine count, same
-  /// chain shape over capable pairs) skips phase 1; blocks where the seed
-  /// does not fit solve cold automatically, and an accepted seed re-runs
-  /// the same deterministic phase-2 pricing, so the chained trajectory is
-  /// byte-stable run to run (the warm-start regression suite pins this
-  /// against recorded table1 goldens). `engine` picks the simplex core
-  /// and `pricing` the entering-variable rule, per block.
+  /// cold LP2 solve+round per block. `engine` picks the simplex core and
+  /// `pricing` the entering-variable rule, per block.
   static std::shared_ptr<const BlockCache> precompute(
-      const core::Instance& inst, bool warm_start = false,
+      const core::Instance& inst,
       lp::SimplexEngine engine = lp::SimplexEngine::Auto,
       lp::PricingRule pricing = lp::PricingRule::Auto);
 

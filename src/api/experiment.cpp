@@ -153,20 +153,6 @@ const std::vector<CellResult>& ExperimentRunner::run() {
   // run serially inside each cell here — nesting two blocking parallel_for
   // levels on one pool could deadlock, and cells are the coarser (better)
   // unit of parallelism for grids.
-  // A caller-owned lp1.warm handle would be mutated by every concurrent
-  // solve — cells racing on prepare, or replication workers racing inside
-  // the policies that re-solve LP1 at decide time — an unsynchronized data
-  // race. Warm chaining is only meaningful for a sequential solve order, so
-  // it requires fully serial execution (cell_threads == 1 and threads == 1).
-  if (opt_.cell_threads != 1 || opt_.threads != 1) {
-    for (const Cell& cell : cells_) {
-      SUU_CHECK_MSG(cell.solver_opt.lp1.warm == nullptr,
-                    "cell '" << cell.instance_label
-                             << "': lp1.warm requires cell_threads == 1 and "
-                                "threads == 1 (a shared warm-start handle "
-                                "races across concurrent solves)");
-    }
-  }
   if (opt_.cell_threads != 1) {
     results_.clear();
     results_.resize(cells_.size());

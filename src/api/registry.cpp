@@ -21,11 +21,6 @@ namespace {
 algos::SuuCPolicy::Config suu_c_config(const SolverOptions& opt) {
   algos::SuuCPolicy::Config cfg;
   cfg.lp1 = opt.lp1;
-  // A caller-owned warm-start handle is a prepare-time channel only: it
-  // must never escape into minted policies, which re-solve LPs from many
-  // replication threads at once (a shared mutable handle would race) and
-  // may be served from the cache long after the handle is gone.
-  cfg.lp1.warm = nullptr;
   cfg.random_delays = opt.random_delays;
   cfg.grid_rounding = opt.grid_rounding;
   cfg.gamma_factor = opt.gamma_factor;
@@ -46,9 +41,6 @@ void register_builtins(SolverRegistry& r) {
           if (opt.share_precompute) {
             cfg.round1 = algos::SuuISemPolicy::precompute_round1(inst, opt.lp1);
           }
-          // Same rule as suu_c_config: the warm handle serves the
-          // precompute above, never the minted policies' own re-solves.
-          cfg.lp1.warm = nullptr;
           return [cfg] {
             return std::make_unique<algos::SuuISemPolicy>(cfg);
           };
@@ -83,8 +75,7 @@ void register_builtins(SolverRegistry& r) {
           algos::SuuCPolicy::Config cfg = suu_c_config(opt);
           if (opt.share_precompute) {
             cfg.lp2 = algos::SuuCPolicy::precompute(
-                inst, inst.dag().chains(), opt.lp1.warm, opt.lp1.engine,
-                opt.lp1.pricing);
+                inst, inst.dag().chains(), opt.lp1.engine, opt.lp1.pricing);
           }
           return [cfg] { return std::make_unique<algos::SuuCPolicy>(cfg); };
         },
@@ -97,8 +88,7 @@ void register_builtins(SolverRegistry& r) {
           const algos::SuuCPolicy::Config cfg = suu_c_config(opt);
           std::shared_ptr<const algos::SuuTPolicy::BlockCache> cache;
           if (opt.share_precompute) {
-            cache = algos::SuuTPolicy::precompute(inst, opt.warm_start,
-                                                  opt.lp1.engine,
+            cache = algos::SuuTPolicy::precompute(inst, opt.lp1.engine,
                                                   opt.lp1.pricing);
           }
           return [cfg, cache] {
@@ -208,10 +198,10 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
                                             << known.str());
   }
   // Caching requires the prepared artifacts to be shareable
-  // (share_precompute), free of caller-owned state (lp1.warm), and free of
-  // borrowed Instance pointers (the entry's cacheable flag).
-  const bool cacheable = it->second.cacheable && opt.share_precompute &&
-                         opt.reuse_cache && opt.lp1.warm == nullptr;
+  // (share_precompute) and free of borrowed Instance pointers (the entry's
+  // cacheable flag).
+  const bool cacheable =
+      it->second.cacheable && opt.share_precompute && opt.reuse_cache;
   if (!cacheable) {
     return PreparedSolver{resolved, it->second.prepare(inst, opt)};
   }
@@ -227,12 +217,12 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
 // Lp1Options) changes the struct size and fails the build here — fold the
 // new field into the hash below, then update the expected size.
 static_assert(sizeof(rounding::Lp1Options) ==
-                  2 * sizeof(int) + sizeof(void*) + sizeof(lp::SimplexEngine) +
+                  2 * sizeof(int) + sizeof(lp::SimplexEngine) +
                       sizeof(lp::PricingRule),
               "Lp1Options changed: fold the new field into prepare_key");
 static_assert(sizeof(SolverOptions) == sizeof(rounding::Lp1Options) +
-                                           5 * sizeof(bool) +
-                                           2 * sizeof(double) + /*padding*/ 3,
+                                           4 * sizeof(bool) +
+                                           2 * sizeof(double) + /*padding*/ 4,
               "SolverOptions changed: fold the new field into prepare_key");
 std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
                                           const std::string& name,
@@ -245,7 +235,6 @@ std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.engine));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.pricing));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.share_precompute));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.warm_start));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.random_delays));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.grid_rounding));
   h = util::hash_combine(h, opt.gamma_factor);

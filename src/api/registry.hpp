@@ -47,20 +47,8 @@ struct SolverOptions {
   /// Consult the process-wide api::PrecomputeCache (keyed by the instance
   /// fingerprint, solver name and these options) so grid cells that share
   /// an instance reuse one prepared solver instead of re-running the LP/DP
-  /// precompute. Only takes effect together with share_precompute, and is
-  /// bypassed when lp1.warm is set (caller-managed solver state must not
-  /// be shared through a cache).
+  /// precompute. Only takes effect together with share_precompute.
   bool reuse_cache = true;
-  /// Chain a simplex warm-start across SUU-T's per-block LP2 solves, so
-  /// structurally identical sibling blocks skip phase 1. On by default
-  /// since the revised-simplex PR: a seed basis is now a factorization
-  /// seed (cheap to install on either engine), the chained trajectory is
-  /// deterministic at any thread count, and the warm-start regression
-  /// suite byte-compares the table1 experiment output against recorded
-  /// goldens to keep it that way. Turn off to reproduce pre-revised
-  /// recorded bytes. This is the only thing the knob controls: no
-  /// prepare is ever seeded from another instance's basis.
-  bool warm_start = true;
 
   // SUU-C / SUU-T knobs (forwarded into algos::SuuCPolicy::Config):
   bool random_delays = true;      ///< Theorem 7 ablation switch

@@ -468,10 +468,10 @@ namespace {
 // Under Dantzig pricing, reduced costs are exact each iteration (recomputed
 // from BTRAN, never incrementally drifted) and the candidate list is a
 // partial-pricing shortlist re-priced per iteration — the historical
-// behavior, preserved bit for bit. Under Devex/steepest pricing the engine
-// switches to the textbook incremental scheme: reduced costs live in d_ and
-// are updated per pivot from the pivot row alpha = rho^T A (one sparse
-// BTRAN of e_leave plus a CSR sweep of rho's support), which also feeds the
+// behavior, preserved bit for bit. Under Devex pricing the engine switches
+// to the textbook incremental scheme: reduced costs live in d_ and are
+// updated per pivot from the pivot row alpha = rho^T A (one sparse BTRAN of
+// e_leave plus a CSR sweep of rho's support), which also feeds the
 // reference-weight updates. Incremental d_ can drift, so every claim that
 // matters is re-derived exactly: the shortlist running dry triggers an
 // exact recompute before optimality is declared, Bland iterations recompute
@@ -488,14 +488,12 @@ class RevisedSimplex {
     basic_pos_.assign(static_cast<std::size_t>(sf_.n_total), -1);
     w_.resize(sf_.m);
     rho_.resize(sf_.m);
-    tau_.resize(sf_.m);
     y_.assign(static_cast<std::size_t>(sf_.m), 0.0);
     support_.reserve(static_cast<std::size_t>(sf_.m));
     if (rule_ != PricingRule::Dantzig) {
       d_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
       alpha_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
       alpha_mark_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-      beta_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
     }
   }
 
@@ -513,20 +511,20 @@ class RevisedSimplex {
     return true;
   }
 
-  /// Accept a saved basis as the factorization seed: one factorization and
-  /// one FTRAN instead of the tableau's m full-row Gaussian pivots. False
-  /// when the seed does not fit (dimensions, singular, infeasible vertex);
-  /// the engine is left uninstalled and the caller starts cold.
-  bool try_warm_start(const std::vector<int>& warm_basis) {
-    if (static_cast<int>(warm_basis.size()) != sf_.m) return false;
+  /// Install SimplexOptions::seed_basis: one factorization and one FTRAN.
+  /// False when the seed does not fit (dimensions, an artificial or
+  /// repeated column, singular, infeasible vertex); the engine is left
+  /// uninstalled and the caller starts cold.
+  bool try_seed(const std::vector<int>& seed) {
+    if (static_cast<int>(seed.size()) != sf_.m) return false;
     std::vector<char> used(static_cast<std::size_t>(sf_.n_total), 0);
-    for (const int c : warm_basis) {
+    for (const int c : seed) {
       if (c < 0 || c >= sf_.art_begin || used[static_cast<std::size_t>(c)]) {
         return false;
       }
       used[static_cast<std::size_t>(c)] = 1;
     }
-    if (!install(warm_basis)) return false;
+    if (!install(seed)) return false;
     for (const double v : xb_) {
       if (v < 0) return false;  // vertex infeasible for this rhs
     }
@@ -563,7 +561,7 @@ class RevisedSimplex {
   // One revised iteration. 0 = optimal, 1 = pivoted, 2 = unbounded,
   // -1 = numerical trouble (refactorization of the current basis failed).
   // `exact_retry` marks the one re-entry the unbounded verdict makes after
-  // refreshing the Devex/steepest reduced costs (see the ratio test below).
+  // refreshing the Devex reduced costs (see the ratio test below).
   int iterate(bool bland, bool exact_retry = false) {
     int enter = -1;
     double d_enter = 0.0;
@@ -645,10 +643,10 @@ class RevisedSimplex {
     }
     if (leave < 0) {
       w_.clear();
-      // Devex/steepest chose the column from incrementally maintained
-      // reduced costs. An unbounded verdict must rest on exact ones, so
-      // refresh them and price once more before believing it; only a
-      // column that is still improving with no leaving row is unbounded.
+      // Devex chose the column from incrementally maintained reduced
+      // costs. An unbounded verdict must rest on exact ones, so refresh
+      // them and price once more before believing it; only a column that
+      // is still improving with no leaving row is unbounded.
       if (rule_ == PricingRule::Dantzig || exact_retry) return 2;
       refresh_reduced_costs();
       return iterate(bland, true);
@@ -821,7 +819,7 @@ class RevisedSimplex {
     return enter;
   }
 
-  // ---- Devex / steepest-edge path (incremental reduced costs).
+  // ---- Devex path (incremental reduced costs).
 
   // Exact reset of d_ and the improving-candidate list from one BTRAN plus
   // a full column sweep. Optimality, Bland selections and unbounded
@@ -883,8 +881,7 @@ class RevisedSimplex {
   // basis changes (it needs the pre-pivot factorization, basis_ and w_).
   // The pivot row alpha = rho^T A comes from a sparse BTRAN of e_leave and
   // a sweep of the CSR rows where rho is nonzero — the payoff of carrying
-  // the matrix in both orientations. Steepest edge additionally BTRANs the
-  // FTRAN'd entering column to get beta_j = a_j^T B^{-T} B^{-1} a_q.
+  // the matrix in both orientations.
   void update_incremental(int enter, int leave, double d_enter) {
     const double piv = w_.val[static_cast<std::size_t>(leave)];
     const int leave_col = basis_[static_cast<std::size_t>(leave)];
@@ -892,12 +889,10 @@ class RevisedSimplex {
     rho_.insert(leave, 1.0);
     fact_.btran(rho_);
 
-    const bool steepest = rule_ == PricingRule::Steepest;
-
     // Two ways to reach every column this pivot must touch. The exact row
     // sweep walks the CSR rows of rho's support, updating *all* columns in
-    // the pivot row (textbook devex/steepest, and it discovers newly
-    // improving columns immediately). Its cost is the summed CSR support —
+    // the pivot row (textbook Devex, and it discovers newly improving
+    // columns immediately). Its cost is the summed CSR support —
     // ruinous when rho touches a dense row (LP1's machine-load rows carry
     // ~n entries each, turning every such pivot into an O(n·m) sweep). The
     // lazy path instead updates only the current shortlist by one short
@@ -922,14 +917,14 @@ class RevisedSimplex {
     }
     const std::int64_t avg_col_nnz = std::max<std::int64_t>(
         1, sf_.col_ptr[static_cast<std::size_t>(sf_.n_total)] / sf_.n_total);
-    const std::int64_t lazy_work = static_cast<std::int64_t>(cand_.size()) *
-                                   avg_col_nnz * (steepest ? 2 : 1);
+    const std::int64_t lazy_work =
+        static_cast<std::int64_t>(cand_.size()) * avg_col_nnz;
     // The factor leans heavily toward the exact sweep: its better weights
     // and immediate candidate discovery usually repay a mildly pricier
     // pivot, so lazy only engages when the row sweep is out of all
     // proportion (a near-dense pivot row against a short shortlist).
     if (row_work > 8 * lazy_work) {
-      update_lazy(enter, leave_col, piv, d_enter, steepest);
+      update_lazy(enter, leave_col, piv, d_enter);
       return;
     }
 
@@ -942,7 +937,6 @@ class RevisedSimplex {
         if (!alpha_mark_[static_cast<std::size_t>(j)]) {
           alpha_mark_[static_cast<std::size_t>(j)] = 1;
           alpha_[static_cast<std::size_t>(j)] = 0.0;
-          if (steepest) beta_[static_cast<std::size_t>(j)] = 0.0;
           alpha_supp_.push_back(j);
         }
         alpha_[static_cast<std::size_t>(j)] +=
@@ -961,43 +955,6 @@ class RevisedSimplex {
     rho_.clear();
 
     const double entering_weight = weights_[enter];
-    if (steepest) {
-      tau_.clear();
-      if (w_.dense) {
-        tau_.val = w_.val;
-        tau_.dense = true;
-      } else {
-        for (const int r : w_.idx) {
-          const double v = w_.val[static_cast<std::size_t>(r)];
-          if (v != 0.0) tau_.insert(r, v);
-        }
-      }
-      fact_.btran(tau_);
-      // beta accumulates only over columns already in alpha's support: a
-      // column with alpha_j == 0 keeps its weight regardless of beta_j.
-      auto beta_add = [&](int r, double x) {
-        if (x == 0.0) return;
-        for (int k = sf_.row_ptr[static_cast<std::size_t>(r)];
-             k < sf_.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-          const int j = sf_.row_col[static_cast<std::size_t>(k)];
-          if (alpha_mark_[static_cast<std::size_t>(j)]) {
-            beta_[static_cast<std::size_t>(j)] +=
-                x * sf_.row_val[static_cast<std::size_t>(k)];
-          }
-        }
-      };
-      if (tau_.dense) {
-        for (int r = 0; r < sf_.m; ++r) {
-          beta_add(r, tau_.val[static_cast<std::size_t>(r)]);
-        }
-      } else {
-        for (const int r : tau_.idx) {
-          beta_add(r, tau_.val[static_cast<std::size_t>(r)]);
-        }
-      }
-      tau_.clear();
-    }
-
     const double mult = d_enter / piv;
     for (const int j : alpha_supp_) {
       alpha_mark_[static_cast<std::size_t>(j)] = 0;
@@ -1008,13 +965,7 @@ class RevisedSimplex {
       }
       double& d = d_[static_cast<std::size_t>(j)];
       d -= mult * a;
-      const double ratio = a / piv;
-      if (steepest) {
-        weights_.note_steepest(j, ratio, beta_[static_cast<std::size_t>(j)],
-                               entering_weight);
-      } else {
-        weights_.note_devex(j, ratio, entering_weight);
-      }
+      weights_.note_devex(j, a / piv, entering_weight);
       if (!stale_ && j < allow_limit_ && d < -tol_ &&
           !in_cand_[static_cast<std::size_t>(j)]) {
         cand_.push_back(j);
@@ -1047,24 +998,10 @@ class RevisedSimplex {
   // shortlist only: an off-shortlist weight frozen at its reference value
   // can only make that column look *more* attractive later, which degrades
   // the path toward Dantzig, never the answer.
-  void update_lazy(int enter, int leave_col, double piv, double d_enter,
-                   bool steepest) {
+  void update_lazy(int enter, int leave_col, double piv, double d_enter) {
     stale_ = true;
     const double mult = d_enter / piv;
     const double entering_weight = weights_[enter];
-    if (steepest) {
-      tau_.clear();
-      if (w_.dense) {
-        tau_.val = w_.val;
-        tau_.dense = true;
-      } else {
-        for (const int r : w_.idx) {
-          const double v = w_.val[static_cast<std::size_t>(r)];
-          if (v != 0.0) tau_.insert(r, v);
-        }
-      }
-      fact_.btran(tau_);
-    }
     double alpha_enter = 0.0;
     for (const int j : cand_) {
       if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
@@ -1075,15 +1012,8 @@ class RevisedSimplex {
       }
       if (a == 0.0) continue;
       d_[static_cast<std::size_t>(j)] -= mult * a;
-      const double ratio = a / piv;
-      if (steepest) {
-        weights_.note_steepest(j, ratio, dot_col(tau_.val, j),
-                               entering_weight);
-      } else {
-        weights_.note_devex(j, ratio, entering_weight);
-      }
+      weights_.note_devex(j, a / piv, entering_weight);
     }
-    if (steepest) tau_.clear();
     rho_.clear();
     d_[static_cast<std::size_t>(leave_col)] = -mult;
     d_[static_cast<std::size_t>(enter)] = 0.0;
@@ -1141,16 +1071,14 @@ class RevisedSimplex {
   std::vector<char> in_cand_;
   ScatteredVec w_;               // scratch: FTRAN'd entering column
   ScatteredVec rho_;             // scratch: BTRAN'd pivot row e_leave
-  ScatteredVec tau_;             // scratch: steepest-edge B^{-T} w
   std::vector<double> y_;        // scratch: BTRAN'd pricing row (exact path)
   std::vector<int> support_;     // scratch: nonzero rows of w_
-  // Devex/steepest state.
+  // Devex state.
   pricing::ReferenceWeights weights_;
   std::vector<double> d_;        // incrementally maintained reduced costs
   std::vector<double> alpha_;    // scratch: pivot row over columns
   std::vector<char> alpha_mark_;
   std::vector<int> alpha_supp_;
-  std::vector<double> beta_;     // scratch: a_j^T tau on alpha's support
   bool need_refresh_ = false;
   // Off-shortlist d_ entries missed a lazy update since the last exact
   // refresh: the exact sweep must not admit them to the shortlist.
@@ -1188,20 +1116,14 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
     return detail::run_simplex_phase(rs, opt.tol, iter_cap, stall_cap, iters);
   };
 
-  bool warmed = false;
-  if (opt.warm != nullptr && !opt.warm->basis.empty()) {
-    warmed = rs.try_warm_start(opt.warm->basis);
-  }
-  if (!warmed && !rs.install(sf.init_basis)) {
+  const bool seeded = !opt.seed_basis.empty() && rs.try_seed(opt.seed_basis);
+  if (!seeded && !rs.install(sf.init_basis)) {
     // The initial slack/artificial basis is the identity; failing to
     // factorize it means something is deeply wrong — punt to the tableau.
     *numerical_trouble = true;
     return sol;
   }
 
-  // Warm accounting mirrors the tableau path, deferred so a later fallback
-  // to the tableau engine (which re-runs its own attempt) cannot
-  // double-count this one.
   auto finish = [&](Solution s) {
     if (trouble) {
       *numerical_trouble = true;
@@ -1210,19 +1132,13 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
       s.ftran_calls = rs.ftran_calls();
       s.ftran_nnz = rs.ftran_nnz();
       s.refactorizations = rs.refactorizations();
-      if (opt.warm != nullptr) {
-        if (warmed) {
-          ++opt.warm->hits;
-        } else {
-          ++opt.warm->misses;
-        }
-      }
     }
     return s;
   };
 
-  // ---- Phase 1 (skipped on a warm hit): minimize the sum of artificials.
-  if (!warmed && sf.art_begin < n) {
+  // ---- Phase 1 (skipped from an accepted seed): minimize the sum of
+  // artificials.
+  if (!seeded && sf.art_begin < n) {
     std::vector<double> phase1(static_cast<std::size_t>(n), 0.0);
     for (int j = sf.art_begin; j < n; ++j) {
       phase1[static_cast<std::size_t>(j)] = 1.0;
@@ -1292,7 +1208,6 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
       return finish(Solution{});
     }
   }
-  if (opt.warm != nullptr) opt.warm->basis = sol.basis;
   return finish(sol);
 }
 

@@ -22,12 +22,13 @@
 //
 // Both engines solve the identical standard form (build_standard_form keeps
 // the column numbering and rhs normalization bit-identical to the tableau's
-// internal construction), so a Solution::basis produced by one engine warm
-// starts the other. solve_revised never returns a wrong answer on
-// numerical trouble: it reports it, and lp::solve_simplex re-solves on the
-// tableau engine, whose trajectories are the repo's byte-stability anchor.
-// That re-solve is a safety net, not a path: pricing verdicts rest on
-// exact reduced costs, so a well-posed solve never needs it.
+// internal construction), so a Solution::basis produced by either engine
+// is a valid SimplexOptions::seed_basis for the revised one. solve_revised
+// never returns a wrong answer on numerical trouble: it reports it, and
+// lp::solve_simplex re-solves on the tableau engine, whose trajectories are
+// the repo's byte-stability anchor. That re-solve is a safety net, not a
+// path: pricing verdicts rest on exact reduced costs, so a well-posed solve
+// never needs it.
 #pragma once
 
 #include <algorithm>
@@ -213,10 +214,11 @@ class BasisFactorization {
 };
 
 /// Solve the standard form with the revised engine. Honors the same
-/// SimplexOptions contract as the tableau path (tol, max_iters, warm,
-/// verify). Sets *numerical_trouble instead of returning a wrong answer
-/// when the factorization degrades (singular refactorization, verification
-/// failure); the caller is expected to re-solve with the tableau engine.
+/// SimplexOptions contract as the tableau path (tol, max_iters, verify),
+/// plus the optional seed_basis. Sets *numerical_trouble instead of
+/// returning a wrong answer when the factorization degrades (singular
+/// refactorization, verification failure); the caller is expected to
+/// re-solve with the tableau engine.
 Solution solve_revised(const Problem& p, const StandardForm& sf,
                        const SimplexOptions& opt, bool* numerical_trouble);
 

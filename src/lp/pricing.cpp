@@ -9,8 +9,6 @@ bool parse_pricing_rule(std::string_view name, PricingRule* out) {
     *out = PricingRule::Dantzig;
   } else if (name == "devex") {
     *out = PricingRule::Devex;
-  } else if (name == "steepest") {
-    *out = PricingRule::Steepest;
   } else {
     return false;
   }

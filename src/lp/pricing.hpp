@@ -9,28 +9,20 @@
 //
 //     maximize  d_j^2 / w_j   over improving columns (d_j < -tol)
 //
-// where w_j is a reference weight maintained incrementally per pivot:
+// where w_j is a reference weight maintained incrementally per pivot by
+// Devex (Harris '73, as formulated by Forrest–Goldfarb '92): w_j
+// approximates the squared edge norm relative to a reference framework
+// (the nonbasic set at the last reset). Per pivot, for every column j in
+// the pivot row's support with ratio r_j = alpha_rj / alpha_rq:
+//     w_j <- max(w_j, r_j^2 * w_q)
+// and the leaving variable gets max(w_q / piv^2, 1). Costs nothing beyond
+// the pivot row itself.
 //
-//  - Devex (Harris '73, as formulated by Forrest–Goldfarb '92): w_j
-//    approximates the squared edge norm relative to a reference framework
-//    (the nonbasic set at the last reset). Per pivot, for every column j in
-//    the pivot row's support with ratio r_j = alpha_rj / alpha_rq:
-//        w_j <- max(w_j, r_j^2 * w_q)
-//    and the leaving variable gets max(w_q / piv^2, 1). Costs nothing
-//    beyond the pivot row itself.
-//  - Approximate steepest edge (Goldfarb–Reid '77 recurrence, applied to
-//    weights initialized at 1 instead of exactly-computed norms):
-//        gamma_j <- max(gamma_j - 2 r_j beta_j + r_j^2 gamma_q,  1 + r_j^2)
-//    where beta_j = a_j^T B^{-T} B^{-1} a_q needs one extra BTRAN per pivot
-//    (of the FTRAN'd entering column) plus one sweep of the pivot row's
-//    support. More faithful to the true steepest-edge norms than Devex,
-//    about twice the update cost.
-//
-// Both rules only re-rank columns that are already improving; which columns
+// Devex only re-ranks columns that are already improving; which columns
 // COUNT as improving, and the optimality certificate, always come from
 // exact reduced costs (the engines recompute them before declaring
-// optimality). That is what keeps every pricing rule's verdicts identical
-// under the differential oracle — the rules change the path, never the
+// optimality). That is what keeps Devex's verdicts identical to Dantzig's
+// under the differential oracle — the rule changes the path, never the
 // answer.
 #pragma once
 
@@ -42,7 +34,7 @@
 namespace suu::lp::pricing {
 
 /// Parse the wire / CLI spelling of a pricing rule
-/// ("auto|dantzig|devex|steepest", matching to_string(PricingRule)).
+/// ("auto|dantzig|devex", matching to_string(PricingRule)).
 /// Returns false (leaving *out untouched) for anything else.
 bool parse_pricing_rule(std::string_view name, PricingRule* out);
 
@@ -61,9 +53,9 @@ inline PricingRule resolve_pricing(PricingRule rule, SimplexEngine engine) {
                                           : PricingRule::Devex;
 }
 
-/// Reference weights for Devex / approximate steepest edge. Inactive until
-/// reset(n) is called (engines reset per objective load: each phase starts
-/// a fresh reference framework).
+/// Devex reference weights. Inactive until reset(n) is called (engines
+/// reset per objective load: each phase starts a fresh reference
+/// framework).
 class ReferenceWeights {
  public:
   void reset(int n) {
@@ -89,19 +81,6 @@ class ReferenceWeights {
       w = cand;
       if (cand > kWeightResetThreshold) needs_reset_ = true;
     }
-  }
-
-  /// Goldfarb–Reid steepest-edge recurrence; beta = a_j^T B^{-T} B^{-1} a_q
-  /// and gamma_q is the entering column's weight before the pivot. The
-  /// 1 + r^2 floor is the exact post-pivot lower bound on the squared edge
-  /// norm, so the clamp never over-trims.
-  void note_steepest(int j, double ratio, double beta, double gamma_q) {
-    const double floor = 1.0 + ratio * ratio;
-    double g = w_[static_cast<std::size_t>(j)] - 2.0 * ratio * beta +
-               ratio * ratio * gamma_q;
-    if (g < floor) g = floor;
-    w_[static_cast<std::size_t>(j)] = g;
-    if (g > kWeightResetThreshold) needs_reset_ = true;
   }
 
   /// Weight of the variable leaving on a pivot with element `piv`, given

@@ -54,8 +54,6 @@ std::string to_string(PricingRule r) {
       return "dantzig";
     case PricingRule::Devex:
       return "devex";
-    case PricingRule::Steepest:
-      return "steepest";
   }
   return "?";
 }

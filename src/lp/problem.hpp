@@ -48,12 +48,12 @@ std::string to_string(SimplexEngine e);
 
 /// Entering-variable pricing rule (lp/pricing.hpp). Dantzig picks the most
 /// negative reduced cost — the historical rule and the byte-stability
-/// anchor. Devex and Steepest weigh reduced costs by (approximate) edge
-/// norms, trading a little per-pivot bookkeeping for far fewer pivots on
-/// the long phase-1 runs that dominate the n>=1024 LP1 regimes. Auto keeps
-/// Dantzig on the tableau engine (preserving recorded trajectories) and
-/// picks Devex on the revised engine.
-enum class PricingRule { Auto, Dantzig, Devex, Steepest };
+/// anchor. Devex weighs reduced costs by approximate edge norms, trading a
+/// little per-pivot bookkeeping for far fewer pivots on the long phase-1
+/// runs that dominate the n>=1024 LP1 regimes. Auto keeps Dantzig on the
+/// tableau engine (preserving recorded trajectories) and picks Devex on the
+/// revised engine.
+enum class PricingRule { Auto, Dantzig, Devex };
 
 std::string to_string(PricingRule r);
 
@@ -61,15 +61,15 @@ struct Solution {
   Status status = Status::IterLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< size num_vars when status == Optimal
-  /// Simplex pivots spent (both phases). Excludes the per-row basis
-  /// eliminations of a warm-start install (those are basis factorization,
-  /// not priced iterations) — compare warm vs cold re-solves by wall time,
-  /// not by this counter alone.
+  /// Simplex pivots spent (both phases). Excludes the factorization of a
+  /// seed basis (SimplexOptions::seed_basis), which is not a priced
+  /// iteration.
   int iterations = 0;
-  int phase1_iterations = 0;  ///< pivots spent in phase 1 (0 on a warm hit)
+  /// Pivots spent in phase 1 (0 when an accepted seed basis skipped it).
+  int phase1_iterations = 0;
   /// Basic column per tableau row on Status::Optimal (the solver's internal
-  /// column numbering: originals, then slacks, then artificials). Feed it
-  /// into a WarmStart handle to seed a follow-up solve.
+  /// column numbering: originals, then slacks, then artificials). Valid as
+  /// SimplexOptions::seed_basis for a follow-up revised solve.
   std::vector<int> basis;
   /// Engine that actually produced this solution. A Revised request that
   /// hits numerical trouble is silently re-solved by the tableau, and this
@@ -82,7 +82,7 @@ struct Solution {
   std::int64_t ftran_calls = 0;
   std::int64_t ftran_nnz = 0;
   /// Basis factorizations performed (revised engine only): the initial or
-  /// warm-start install plus every scheduled mid-solve refactorization.
+  /// seed-basis install plus every scheduled mid-solve refactorization.
   std::int64_t refactorizations = 0;
 };
 

@@ -44,9 +44,6 @@ class Tableau {
     art_begin_ = sf.art_begin;
     stride_ = n_total_;
     arena_.assign(static_cast<std::size_t>(m_) * stride_, 0.0);
-    if (rule_ == PricingRule::Steepest) {
-      beta_.assign(static_cast<std::size_t>(n_total_), 0.0);
-    }
     rhs_ = sf.rhs;
     basis_ = sf.init_basis;
     for (int j = 0; j < n_total_; ++j) {
@@ -172,18 +169,6 @@ class Tableau {
     }
     rhs_[r] *= inv;
     pr[enter] = 1.0;  // kill roundoff
-    // Weighted pricing bookkeeping rides along with the elimination. For
-    // steepest edge, beta_j = a_j^T B^{-T} B^{-1} a_q is assembled from the
-    // pre-update rows (the tableau holds B^{-1}A explicitly, so no extra
-    // BTRAN is needed — the price is a second sweep of the support).
-    const bool track_weights =
-        rule_ != PricingRule::Dantzig && weights_.active() && !cost_.empty();
-    const bool steepest = track_weights && rule_ == PricingRule::Steepest;
-    if (steepest) {
-      // Pivot-row term: (B^{-1}a_q)_r = piv and the pre-scale row value is
-      // piv * pr[j].
-      for (const int j : support_) beta_[j] = piv * piv * pr[j];
-    }
     // Hybrid elimination: sparse pivot rows are applied through their
     // support list; once the row has filled in past half the arena width
     // the contiguous dense kernel wins (element-wise SIMD mul+sub, and
@@ -195,9 +180,6 @@ class Tableau {
       double* const prr = row(rr);
       const double f = prr[enter];
       if (f == 0.0) continue;  // column support: row untouched by this pivot
-      if (steepest) {
-        for (const int j : support_) beta_[j] += f * prr[j];
-      }
       if (dense_row) {
         util::simd::axpy_minus(prr, pr, f, n_total_);
       } else {
@@ -221,17 +203,12 @@ class Tableau {
         cost_obj_ -= fc * rhs_[r];
       }
     }
-    if (track_weights) {
-      // The scaled pivot row IS the ratio alpha_rj / alpha_rq the weight
-      // recurrences want.
+    if (rule_ != PricingRule::Dantzig && weights_.active() && !cost_.empty()) {
+      // Devex bookkeeping: the scaled pivot row IS the ratio
+      // alpha_rj / alpha_rq the weight recurrence wants.
       const double wq = weights_[enter];
       for (const int j : support_) {
-        if (j == enter) continue;
-        if (steepest) {
-          weights_.note_steepest(j, pr[j], beta_[j], wq);
-        } else {
-          weights_.note_devex(j, pr[j], wq);
-        }
+        if (j != enter) weights_.note_devex(j, pr[j], wq);
       }
       weights_.set_leaving(basis_[r], wq, piv);
       if (weights_.needs_reset()) weights_.reset(n_total_);
@@ -255,46 +232,6 @@ class Tableau {
       }
       if (enter >= 0) pivot(r, enter);
     }
-  }
-
-  // Try to install a previously-optimal basis (one non-artificial column
-  // per row) by direct Gaussian pivoting, skipping phase 1. Returns false —
-  // leaving the tableau possibly corrupted, so the caller must rebuild —
-  // when the basis does not fit this program: wrong dimensions, a column
-  // with no acceptable pivot (singular), or a primal-infeasible vertex for
-  // the current rhs.
-  bool try_warm_start(const std::vector<int>& warm_basis) {
-    if (static_cast<int>(warm_basis.size()) != rows()) return false;
-    std::vector<char> used_col(static_cast<std::size_t>(n_total_), 0);
-    for (const int c : warm_basis) {
-      if (c < 0 || c >= art_begin_ || used_col[static_cast<std::size_t>(c)]) {
-        return false;
-      }
-      used_col[static_cast<std::size_t>(c)] = 1;
-    }
-    std::vector<char> placed_row(static_cast<std::size_t>(rows()), 0);
-    for (const int c : warm_basis) {
-      // Pick the largest-magnitude pivot among rows not yet claimed, for
-      // numerical stability; any valid choice yields the same basis matrix.
-      int best_r = -1;
-      double best_a = piv_tol_;
-      for (int r = 0; r < rows(); ++r) {
-        if (placed_row[static_cast<std::size_t>(r)]) continue;
-        const double a = std::fabs(row(r)[c]);
-        if (a > best_a) {
-          best_a = a;
-          best_r = r;
-        }
-      }
-      if (best_r < 0) return false;
-      pivot(best_r, c);
-      placed_row[static_cast<std::size_t>(best_r)] = 1;
-    }
-    for (int r = 0; r < rows(); ++r) {
-      if (rhs_[r] < 0 && rhs_[r] > -tol_) rhs_[r] = 0.0;
-      if (rhs_[r] < 0) return false;  // vertex infeasible for this rhs
-    }
-    return true;
   }
 
   std::vector<double> extract(int n_vars) const {
@@ -393,8 +330,7 @@ class Tableau {
   std::vector<char> in_cand_;  // j is somewhere in cand_
   std::vector<int> support_;   // scratch: pivot-row nonzero columns
   PricingRule rule_ = PricingRule::Dantzig;  // resolved: never Auto
-  pricing::ReferenceWeights weights_;        // active for Devex/Steepest
-  std::vector<double> beta_;   // steepest scratch: a_j^T B^{-T} B^{-1} a_q
+  pricing::ReferenceWeights weights_;        // active for Devex
 };
 
 }  // namespace
@@ -424,11 +360,11 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
     Solution revised = solve_revised(p, sf, opt, &trouble);
     // Numerical trouble (singular refactorization, failed verification, an
     // "unbounded" phase 1) falls through to the tableau engine, whose
-    // slower dense eliminations are the accuracy anchor; warm-start
-    // accounting was deferred so the tableau attempt below counts exactly
-    // once. This is a safety net, not a path: the revised engine decides
-    // every verdict on exact reduced costs, and the differential tests
-    // require zero fallbacks, so each one counted here is a bug report.
+    // slower dense eliminations are the accuracy anchor; it starts cold
+    // (SimplexOptions::seed_basis is revised-only). This is a safety net,
+    // not a path: the revised engine decides every verdict on exact reduced
+    // costs, and the differential tests require zero fallbacks, so each one
+    // counted here is a bug report.
     if (!trouble) return revised;
     static obs::Counter& fallbacks =
         obs::Registry::global().counter("suu_lp_tableau_fallbacks_total");
@@ -453,25 +389,8 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
     return detail::run_simplex_phase(tab, opt.tol, iter_cap, stall_cap, iters);
   };
 
-  // ---- Warm start: an accepted seed basis is primal feasible, so phase 1
-  // is unnecessary — artificials stay nonbasic at zero and every (possibly
-  // sign-normalized) row is satisfied at the seeded vertex.
-  bool warmed = false;
-  if (opt.warm != nullptr && !opt.warm->basis.empty()) {
-    if (tab.try_warm_start(opt.warm->basis)) {
-      warmed = true;
-      ++opt.warm->hits;
-    } else {
-      // A failed attempt may have pivoted already; rebuild from scratch.
-      tab = Tableau(sf, opt.tol, rule);
-      ++opt.warm->misses;
-    }
-  } else if (opt.warm != nullptr) {
-    ++opt.warm->misses;
-  }
-
   // ---- Phase 1: minimize the sum of artificials.
-  if (!warmed && tab.art_begin() < n) {
+  if (tab.art_begin() < n) {
     std::vector<double> phase1(n, 0.0);
     for (int j = tab.art_begin(); j < n; ++j) phase1[j] = 1.0;
     tab.load_objective(phase1, n);
@@ -509,11 +428,8 @@ Solution solve_simplex_impl(const Problem& p, const SimplexOptions& opt) {
 
   sol.status = Status::Optimal;
   sol.x = tab.extract(p.num_vars);
-  // The tableau is done with its basis: steal it instead of copying (the
-  // vector is m ints — the copy was measurable on LP2 block chains), and
-  // pay a copy into the warm handle only when a caller actually chained one.
+  // The tableau is done with its basis: steal it instead of copying.
   sol.basis = std::move(tab.mutable_basis());
-  if (opt.warm != nullptr) opt.warm->basis = sol.basis;
   double obj = 0.0;
   for (int j = 0; j < p.num_vars; ++j) obj += p.objective[j] * sol.x[j];
   sol.objective = obj;

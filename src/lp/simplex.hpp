@@ -107,32 +107,17 @@ inline bool will_use_revised(SimplexEngine engine, std::int64_t rows,
           rows * n_total >= kRevisedAutoCells);
 }
 
-/// Reusable warm-start handle. Seed it with the basis of a previous
-/// Solution (or leave it empty for a cold first solve) and pass it through
-/// SimplexOptions::warm; every successful solve writes its final basis
-/// back, so chaining the same handle across a sequence of structurally
-/// similar programs (LP2 block re-solves, perturbed-rhs re-solves) lets
-/// each follow-up skip phase 1 entirely. A seed basis that does not fit the
-/// next program (wrong dimensions, singular, or primal infeasible for the
-/// new rhs) is rejected and the solve falls back to a cold two-phase run —
-/// warm-starting never changes feasibility or optimality, only the path.
-struct WarmStart {
-  /// Basic column per tableau row, as produced in Solution::basis. Empty
-  /// means "no seed yet".
-  std::vector<int> basis;
-  // Diagnostics (cumulative over the handle's lifetime).
-  std::int64_t hits = 0;    ///< solves that skipped phase 1 via the seed
-  std::int64_t misses = 0;  ///< solves where the seed was absent/rejected
-};
-
 struct SimplexOptions {
   double tol = 1e-9;        ///< feasibility / reduced-cost tolerance
   int max_iters = 0;        ///< 0 = automatic (scales with problem size)
   bool verify = true;       ///< re-check feasibility of the result
-  /// Optional in/out warm-start handle (not owned); see WarmStart. Bases
-  /// are engine-portable: a seed recorded by either engine warm starts the
-  /// other (the revised engine treats it as a factorization seed).
-  WarmStart* warm = nullptr;
+  /// Optional starting basis for the revised engine: one non-artificial
+  /// column per row, in the standard form's column numbering (what
+  /// Solution::basis reports). An accepted seed is primal feasible, so the
+  /// solve skips phase 1; a seed that does not fit (wrong size, singular,
+  /// or an infeasible vertex) is dropped and the solve starts cold. The
+  /// tableau engine ignores it. Empty = cold start.
+  std::vector<int> seed_basis;
   /// Which engine solves the program; Auto switches on problem size.
   SimplexEngine engine = SimplexEngine::Auto;
   /// Entering-variable pricing rule (lp/pricing.hpp). Auto resolves per

@@ -27,7 +27,6 @@ void check_jobs(const core::Instance& inst, const std::vector<int>& jobs) {
 
 Lp1Fractional solve_with_simplex(const core::Instance& inst,
                                  const std::vector<int>& jobs, double L,
-                                 lp::WarmStart* warm,
                                  lp::SimplexEngine engine,
                                  lp::PricingRule pricing) {
   lp::Problem p;
@@ -72,21 +71,16 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   // basis matrix is block triangular — diagonal over the cover rows, the
   // nonsingular [t | slacks] block over the load rows — so the seed always
   // installs, and phase 1 (the bulk of a cold solve's pivots: ~4.3n at
-  // n=1024) vanishes. Gated to the revised engine so the tableau's
-  // byte-recorded trajectories stay untouched, and to callers without a
-  // SEEDED warm-start handle so chained-solve hit/miss accounting keeps
-  // its documented meaning. A caller handle with an EMPTY basis (the first
-  // solve of a chain) still gets the crash seed — an empty handle promises
-  // a cold trajectory, and the crash basis IS this function's cold
-  // trajectory on the revised engine.
-  lp::WarmStart crash;
-  lp::WarmStart* caller = warm;
+  // n=1024) vanishes. Gated to the revised engine (the only one that reads
+  // a seed basis) so the tableau's byte-recorded trajectories stay
+  // untouched.
+  lp::SimplexOptions sopt;
+  sopt.engine = engine;
+  sopt.pricing = pricing;
   const auto rows = static_cast<std::int64_t>(p.rows.size());
   const auto n_total =
       rows + p.num_vars + static_cast<std::int64_t>(jobs.size());
-  const bool crashed = (warm == nullptr || warm->basis.empty()) &&
-                       lp::will_use_revised(engine, rows, n_total);
-  if (crashed) {
+  if (lp::will_use_revised(engine, rows, n_total)) {
     std::vector<double> load(inst.num_machines(), 0.0);
     std::vector<int> chosen(jobs.size(), -1);   // var index per job
     std::vector<int> machine(jobs.size(), -1);  // its machine
@@ -107,35 +101,23 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
     for (int i = 1; i < inst.num_machines(); ++i) {
       if (load[i] > load[imax]) imax = i;
     }
-    crash.basis.assign(static_cast<std::size_t>(rows), -1);
+    std::vector<int>& crash = sopt.seed_basis;
+    crash.assign(static_cast<std::size_t>(rows), -1);
     for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-      crash.basis[idx] = chosen[idx];
+      crash[idx] = chosen[idx];
     }
     // Every row is an inequality with rhs >= 0, so row r's slack is column
     // num_vars + r.
     for (int i = 0; i < inst.num_machines(); ++i) {
       const int r = load_row_of[i];
       if (r < 0) continue;
-      crash.basis[static_cast<std::size_t>(r)] =
-          i == imax ? t_var : p.num_vars + r;
+      crash[static_cast<std::size_t>(r)] = i == imax ? t_var : p.num_vars + r;
     }
-    warm = &crash;
   }
 
-  lp::SimplexOptions sopt;
-  sopt.warm = warm;
-  sopt.engine = engine;
-  sopt.pricing = pricing;
   const lp::Solution sol = lp::solve_simplex(p, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP1 solve failed: " << lp::to_string(sol.status));
-  if (crashed && caller != nullptr) {
-    // The solve ran through the crash handle, not the caller's: hand the
-    // final basis back and book the solve as a miss — the caller's empty
-    // handle carried no seed, exactly a cold solve's accounting.
-    caller->basis = std::move(crash.basis);
-    ++caller->misses;
-  }
 
   Lp1Fractional frac;
   frac.t = sol.x[t_var];
@@ -197,8 +179,7 @@ Lp1Fractional solve_lp1(const core::Instance& inst,
        static_cast<std::int64_t>(jobs.size()) * inst.num_machines() <=
            opt.simplex_size_limit);
   return use_simplex
-             ? solve_with_simplex(inst, jobs, L, opt.warm, opt.engine,
-                                  opt.pricing)
+             ? solve_with_simplex(inst, jobs, L, opt.engine, opt.pricing)
              : solve_with_fw(inst, jobs, L);
 }
 

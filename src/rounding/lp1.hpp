@@ -22,10 +22,6 @@
 #include "lp/problem.hpp"
 #include "sched/assignment.hpp"
 
-namespace suu::lp {
-struct WarmStart;
-}
-
 namespace suu::rounding {
 
 struct Lp1Options {
@@ -33,10 +29,6 @@ struct Lp1Options {
   Solver solver = Solver::Auto;
   /// Auto picks the simplex when |J'| * m is at most this threshold.
   int simplex_size_limit = 4000;
-  /// Optional simplex warm-start handle (not owned; ignored by
-  /// Frank–Wolfe). Chain it across structurally identical LP1 solves —
-  /// e.g. re-solves after a demand perturbation — to skip phase 1.
-  lp::WarmStart* warm = nullptr;
   /// Simplex core (ignored by Frank–Wolfe): tableau, revised (basis
   /// factorization), or size-based auto selection. Also governs the LP2
   /// solves when these options are threaded through suu::api.
@@ -56,8 +48,8 @@ struct Lp1Fractional {
   double lower_bound = 0.0;
   /// Sparse solution: x[idx] pairs with jobs[idx]; entries (machine, value).
   std::vector<std::vector<std::pair<int, double>>> x;
-  /// Simplex pivots spent (0 for Frank–Wolfe); phase-1 share for warm/cold
-  /// accounting.
+  /// Simplex pivots spent (0 for Frank–Wolfe) and the phase-1 share (0
+  /// when the revised engine started from the crash basis).
   int simplex_iterations = 0;
   int simplex_phase1_iterations = 0;
   /// FTRAN telemetry forwarded from lp::Solution (revised engine only;

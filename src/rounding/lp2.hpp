@@ -18,10 +18,6 @@
 #include "lp/problem.hpp"
 #include "sched/assignment.hpp"
 
-namespace suu::lp {
-struct WarmStart;
-}
-
 namespace suu::rounding {
 
 struct Lp2Result {
@@ -31,8 +27,7 @@ struct Lp2Result {
   std::vector<std::int64_t> d;
   /// Fractional LP2 optimum (Lemma 5: a lower bound on O(E[T_OPT])).
   double t_fractional = 0.0;
-  /// Simplex pivots spent on the relaxation; phase-1 share is 0 when a
-  /// warm-start seed was accepted.
+  /// Simplex pivots spent on the relaxation, and the phase-1 share.
   int simplex_iterations = 0;
   int simplex_phase1_iterations = 0;
 };
@@ -41,17 +36,12 @@ struct Lp2Result {
 /// `chains` must partition a subset of jobs into precedence-ordered chains;
 /// every job appearing in a chain gets mass >= 1.
 ///
-/// `warm` (optional, not owned): simplex warm-start handle. Seeded from a
-/// structurally identical previous LP2 solve — same machine count and the
-/// same chain shape over capable pairs — the re-solve skips phase 1; a seed
-/// that does not fit is rejected and the solve runs cold. The handle is
-/// updated with this solve's final basis either way. `engine` picks the
-/// simplex core (lp::SimplexEngine::Auto switches on program size) and
-/// `pricing` the entering-variable rule (lp::PricingRule::Auto keeps the
-/// per-engine defaults; any rule reaches the same optimum).
+/// `engine` picks the simplex core (lp::SimplexEngine::Auto switches on
+/// program size) and `pricing` the entering-variable rule
+/// (lp::PricingRule::Auto keeps the per-engine defaults; any rule reaches
+/// the same optimum). Every solve starts cold.
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
-                              lp::WarmStart* warm = nullptr,
                               lp::SimplexEngine engine =
                                   lp::SimplexEngine::Auto,
                               lp::PricingRule pricing =

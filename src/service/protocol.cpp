@@ -64,14 +64,13 @@ api::SolverOptions parse_options(const Json& options) {
   if (!options.is_object()) bad_params("options must be an object");
   const Json::Object& o = options.as_object("options");
   check_known_keys(o,
-                   {"share_precompute", "reuse_cache", "warm_start",
-                    "random_delays", "grid_rounding", "gamma_factor",
-                    "fallback_factor", "lp1_solver",
-                    "lp1_simplex_size_limit", "lp_engine", "lp_pricing"},
+                   {"share_precompute", "reuse_cache", "random_delays",
+                    "grid_rounding", "gamma_factor", "fallback_factor",
+                    "lp1_solver", "lp1_simplex_size_limit", "lp_engine",
+                    "lp_pricing"},
                    "options");
   opt.share_precompute = get_bool(o, "share_precompute", opt.share_precompute);
   opt.reuse_cache = get_bool(o, "reuse_cache", opt.reuse_cache);
-  opt.warm_start = get_bool(o, "warm_start", opt.warm_start);
   opt.random_delays = get_bool(o, "random_delays", opt.random_delays);
   opt.grid_rounding = get_bool(o, "grid_rounding", opt.grid_rounding);
   opt.gamma_factor = get_finite_double(o, "gamma_factor", opt.gamma_factor);
@@ -109,7 +108,7 @@ api::SolverOptions parse_options(const Json& options) {
   if (const auto it = o.find("lp_pricing"); it != o.end()) {
     const std::string& s = it->second.as_string("lp_pricing");
     if (!lp::pricing::parse_pricing_rule(s, &opt.lp1.pricing)) {
-      bad_params("lp_pricing must be one of auto|dantzig|devex|steepest");
+      bad_params("lp_pricing must be one of auto|dantzig|devex");
     }
   }
   return opt;

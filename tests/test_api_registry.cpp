@@ -7,7 +7,6 @@
 #include "algos/baselines.hpp"
 #include "api/precompute_cache.hpp"
 #include "core/generators.hpp"
-#include "lp/simplex.hpp"
 #include "sim/engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -184,7 +183,7 @@ TEST(PrecomputeCache, DistinctInstancesAndOptionsMiss) {
   EXPECT_EQ(s.misses, 3u);
 }
 
-TEST(PrecomputeCache, OptOutAndCallerStateBypass) {
+TEST(PrecomputeCache, OptOutBypassesCache) {
   PrecomputeCache& cache = PrecomputeCache::global();
   cache.clear();
   cache.reset_stats();
@@ -195,14 +194,24 @@ TEST(PrecomputeCache, OptOutAndCallerStateBypass) {
   make_solver(inst, "suu-i-sem", no_cache);
   make_solver(inst, "suu-i-sem", no_cache);
 
-  lp::WarmStart warm;
-  SolverOptions warm_opt;
-  warm_opt.lp1.warm = &warm;  // caller-owned state: never cached
-  make_solver(inst, "suu-i-sem", warm_opt);
-
   const PrecomputeCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits + s.misses, 0u);
   EXPECT_EQ(s.size, 0u);
+}
+
+TEST(PrecomputeCache, PrepareKeyFoldsLpEngineAndPricing) {
+  // Cells that differ only in the simplex engine or pricing rule must not
+  // alias one prepared solver.
+  const core::Instance inst = independent_instance(7, 3, 41);
+  const SolverOptions def;
+  SolverOptions revised;
+  revised.lp1.engine = lp::SimplexEngine::Revised;
+  SolverOptions devex;
+  devex.lp1.pricing = lp::PricingRule::Devex;
+  const std::uint64_t key =
+      SolverRegistry::prepare_key(inst, "suu-i-sem", def);
+  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", revised));
+  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", devex));
 }
 
 TEST(PrecomputeCache, LruEvictionTouchesOnHit) {

@@ -81,7 +81,7 @@ Problem gen_lp1_shaped(util::Rng& rng) {
 }
 
 // LP2-shaped: adds per-job length variables d_j with x_ij <= d_j, d_j >= 1
-// and chain-length rows — the block-chaining workload SUU-T warm starts.
+// and chain-length rows — the per-block program SUU-T solves.
 Problem gen_lp2_shaped(util::Rng& rng) {
   const int n_jobs = 2 + static_cast<int>(rng.uniform_below(5));
   const int n_machines = 1 + static_cast<int>(rng.uniform_below(3));
@@ -249,10 +249,8 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
   const Cell cells[] = {
       {SimplexEngine::Tableau, PricingRule::Dantzig},
       {SimplexEngine::Tableau, PricingRule::Devex},
-      {SimplexEngine::Tableau, PricingRule::Steepest},
       {SimplexEngine::Revised, PricingRule::Dantzig},
       {SimplexEngine::Revised, PricingRule::Devex},
-      {SimplexEngine::Revised, PricingRule::Steepest},
   };
   int optimal = 0;
   int infeasible = 0;
@@ -322,10 +320,10 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
             << " unbounded, " << fallbacks << " tableau fallbacks\n";
 }
 
-TEST(LpDifferential, WarmStartedResolvesMatchColdAcrossEngines) {
-  // Chained warm starts (the LP2 block pattern, now default-on in suu::api)
-  // must not change any optimum, whichever engine recorded the seed and
-  // whichever engine consumes it.
+TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
+  // A seed basis (SimplexOptions::seed_basis, what the LP1 crash basis
+  // uses) must not change any optimum, and an optimal seed must skip
+  // phase 1 on the revised engine.
   const int total = std::max(20, instance_budget() / 10);
   for (int i = 0; i < total; ++i) {
     util::Rng rng(0xCAFE0000ULL + static_cast<std::uint64_t>(i));
@@ -336,23 +334,16 @@ TEST(LpDifferential, WarmStartedResolvesMatchColdAcrossEngines) {
     const Solution cold = solve_simplex(g.p);
     ASSERT_EQ(cold.status, Status::Optimal) << ctx;
 
-    WarmStart warm;
-    warm.basis = cold.basis;
-    for (const SimplexEngine engine :
-         {SimplexEngine::Tableau, SimplexEngine::Revised}) {
-      SimplexOptions opt;
-      opt.engine = engine;
-      opt.warm = &warm;
-      const Solution hot = solve_simplex(g.p, opt);
-      ASSERT_EQ(hot.status, Status::Optimal) << ctx;
-      EXPECT_NEAR(hot.objective, cold.objective,
-                  1e-9 * (1.0 + std::fabs(cold.objective)))
-          << ctx << " engine=" << to_string(engine);
-      EXPECT_EQ(hot.phase1_iterations, 0)
-          << ctx << " engine=" << to_string(engine)
-          << " (accepted seed must skip phase 1)";
-      warm.basis = cold.basis;  // reseed identically for the next engine
-    }
+    SimplexOptions opt;
+    opt.engine = SimplexEngine::Revised;
+    opt.seed_basis = cold.basis;
+    const Solution hot = solve_simplex(g.p, opt);
+    ASSERT_EQ(hot.status, Status::Optimal) << ctx;
+    EXPECT_NEAR(hot.objective, cold.objective,
+                1e-9 * (1.0 + std::fabs(cold.objective)))
+        << ctx;
+    EXPECT_EQ(hot.phase1_iterations, 0)
+        << ctx << " (accepted seed must skip phase 1)";
   }
 }
 
@@ -396,7 +387,7 @@ TEST(LpDifferential, DevexPivotsNoWorseThanDantzigOnLargeLp1) {
   // The regression this PR's pricing work must never lose: on the n=1024
   // LP1 family — the regime the revised engine exists for — Devex takes no
   // more pivots than Dantzig from a cold start. Both runs are fully
-  // deterministic (fixed seed, explicit engine and rule, no warm handle, no
+  // deterministic (fixed seed, explicit engine and rule, no seed basis, no
   // LP1 crash basis since this calls solve_simplex directly), so this is an
   // exact pin, not a statistical one.
   const Problem p = gen_lp1_large(0xB16'1024ULL, 1024, 8);

@@ -2,8 +2,8 @@
 // SUU_LP_REFACTOR_INTERVAL parsing (lp/basis.hpp). The end-to-end pricing
 // guarantees — identical verdicts and optima across every rule on both
 // engines — live in test_lp_differential.cpp; this file pins the local
-// contracts: spelling parsers, Auto resolution, the reference-weight
-// recurrences, and a small all-rules optimum check with exact expected
+// contracts: spelling parsers, Auto resolution, the Devex reference-weight
+// recurrence, and a small all-rules optimum check with exact expected
 // values.
 #include <cmath>
 
@@ -45,13 +45,12 @@ TEST(PricingRule_, ParsesWireSpellings) {
   EXPECT_EQ(r, PricingRule::Dantzig);
   ASSERT_TRUE(pricing::parse_pricing_rule("devex", &r));
   EXPECT_EQ(r, PricingRule::Devex);
-  ASSERT_TRUE(pricing::parse_pricing_rule("steepest", &r));
-  EXPECT_EQ(r, PricingRule::Steepest);
   ASSERT_TRUE(pricing::parse_pricing_rule("auto", &r));
   EXPECT_EQ(r, PricingRule::Auto);
 
   r = PricingRule::Devex;
-  for (const char* s : {"", "Devex", "DANTZIG", "steepest ", "bland",
+  // "steepest" named a removed rule; it parses like any unknown word.
+  for (const char* s : {"", "Devex", "DANTZIG", "steepest", "bland",
                         "devex1", "auto\n"}) {
     EXPECT_FALSE(pricing::parse_pricing_rule(s, &r)) << "input \"" << s
                                                      << '"';
@@ -60,8 +59,8 @@ TEST(PricingRule_, ParsesWireSpellings) {
 }
 
 TEST(PricingRule_, SpellingsRoundTripThroughToString) {
-  for (const PricingRule r : {PricingRule::Auto, PricingRule::Dantzig,
-                              PricingRule::Devex, PricingRule::Steepest}) {
+  for (const PricingRule r :
+       {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
     PricingRule back = PricingRule::Auto;
     ASSERT_TRUE(pricing::parse_pricing_rule(to_string(r), &back))
         << to_string(r);
@@ -82,8 +81,6 @@ TEST(PricingRule_, AutoResolvesPerEngine) {
        {SimplexEngine::Tableau, SimplexEngine::Revised}) {
     EXPECT_EQ(resolve_pricing(PricingRule::Dantzig, e), PricingRule::Dantzig);
     EXPECT_EQ(resolve_pricing(PricingRule::Devex, e), PricingRule::Devex);
-    EXPECT_EQ(resolve_pricing(PricingRule::Steepest, e),
-              PricingRule::Steepest);
   }
 }
 
@@ -112,19 +109,6 @@ TEST(ReferenceWeights, DevexUpdateIsMonotoneMax) {
   // score divides by the grown weight, demoting the long column.
   EXPECT_DOUBLE_EQ(w.score(0, -2.0), 1.0);
   EXPECT_FALSE(w.needs_reset());
-}
-
-TEST(ReferenceWeights, SteepestRecurrenceRespectsExactFloor) {
-  pricing::ReferenceWeights w;
-  w.reset(2);
-  // gamma_j <- max(gamma - 2 r beta + r^2 gamma_q, 1 + r^2). With gamma=1,
-  // r=1, beta=2, gamma_q=1 the recurrence gives 1 - 4 + 1 = -2, which the
-  // exact lower bound 1 + r^2 = 2 must catch.
-  w.note_steepest(0, 1.0, 2.0, 1.0);
-  EXPECT_DOUBLE_EQ(w[0], 2.0);
-  // And an honest update above the floor passes through: 1 + 6 + 9 = 16.
-  w.note_steepest(1, 3.0, -1.0, 1.0);
-  EXPECT_DOUBLE_EQ(w[1], 16.0);
 }
 
 TEST(ReferenceWeights, LeavingWeightAndResetThreshold) {
@@ -177,8 +161,8 @@ TEST(Pricing, AllRulesReachTheSameOptimumOnBothEngines) {
 
   for (const SimplexEngine e :
        {SimplexEngine::Tableau, SimplexEngine::Revised}) {
-    for (const PricingRule r : {PricingRule::Auto, PricingRule::Dantzig,
-                                PricingRule::Devex, PricingRule::Steepest}) {
+    for (const PricingRule r :
+         {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
       SimplexOptions opt;
       opt.engine = e;
       opt.pricing = r;

@@ -184,11 +184,26 @@ TEST(ServiceProtocol, ParamValidation) {
                     R"({"instance":"x","options":{"lp_pricing":"devex"}})"))
                 .options.lp1.pricing,
             lp::PricingRule::Devex);
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(
-                    R"({"instance":"x","options":{"lp_pricing":"steepest"}})"))
-                .options.lp1.pricing,
-            lp::PricingRule::Steepest);
+  // Removed inputs are rejected with a typed bad_params, never ignored:
+  // the warm_start option and the steepest pricing rule no longer exist.
+  const auto bad_params_message = [](const char* params) {
+    try {
+      parse_solve_params(Json::parse(params));
+    } catch (const ProtocolError& err) {
+      EXPECT_EQ(err.code(), error_code::kBadParams) << params;
+      return std::string(err.what());
+    }
+    ADD_FAILURE() << "accepted: " << params;
+    return std::string();
+  };
+  EXPECT_NE(bad_params_message(
+                R"({"instance":"x","options":{"warm_start":true}})")
+                .find("unknown key 'warm_start'"),
+            std::string::npos);
+  EXPECT_NE(bad_params_message(
+                R"({"instance":"x","options":{"lp_pricing":"steepest"}})")
+                .find("auto|dantzig|devex"),
+            std::string::npos);
   EXPECT_THROW(parse_solve_params(Json::parse(
                    R"({"instance":"x","options":{"lp_pricing":"bland"}})")),
                ProtocolError);

@@ -213,7 +213,8 @@ TEST(SimplexGolden, Lp2InstanceObjective) {
 // (The Beale golden lives above: Simplex.BealeCycleTerminates pins the
 // optimum -0.05 at x = (1/25, 0, 1, 0).)
 
-// ---- Warm starts.
+// ---- A small LP whose rhs can be perturbed (revised-engine seed tests and
+// the Auto size check below).
 
 Problem perturbable_lp(double rhs1) {
   // min x + 2y s.t. x + y >= rhs1, x + 3y >= 4, x + 4y <= 12.
@@ -224,73 +225,6 @@ Problem perturbable_lp(double rhs1) {
   p.add_row(row({{x, 1}, {y, 3}}, Rel::Ge, 4));
   p.add_row(row({{x, 1}, {y, 4}}, Rel::Le, 12));
   return p;
-}
-
-TEST(SimplexWarmStart, RepeatSolveSkipsPhase1) {
-  const Problem p = perturbable_lp(3.0);
-  WarmStart warm;
-  SimplexOptions opt;
-  opt.warm = &warm;
-  const Solution cold = solve_simplex(p, opt);
-  ASSERT_EQ(cold.status, Status::Optimal);
-  ASSERT_FALSE(warm.basis.empty());
-  EXPECT_GT(cold.phase1_iterations, 0);
-
-  const Solution hot = solve_simplex(p, opt);
-  ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_EQ(warm.hits, 1);
-  EXPECT_EQ(hot.phase1_iterations, 0);
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
-  for (std::size_t i = 0; i < cold.x.size(); ++i) {
-    EXPECT_NEAR(hot.x[i], cold.x[i], 1e-9);
-  }
-}
-
-TEST(SimplexWarmStart, PerturbedRhsMatchesColdSolve) {
-  WarmStart warm;
-  SimplexOptions warm_opt;
-  warm_opt.warm = &warm;
-  ASSERT_EQ(solve_simplex(perturbable_lp(3.0), warm_opt).status,
-            Status::Optimal);
-
-  const Problem perturbed = perturbable_lp(3.25);
-  const Solution hot = solve_simplex(perturbed, warm_opt);
-  const Solution cold = solve_simplex(perturbed);
-  ASSERT_EQ(hot.status, Status::Optimal);
-  ASSERT_EQ(cold.status, Status::Optimal);
-  EXPECT_EQ(warm.hits, 1) << "perturbed-rhs seed should stay feasible here";
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
-}
-
-TEST(SimplexWarmStart, MismatchedSeedFallsBackCold) {
-  WarmStart warm;
-  warm.basis = {0, 1, 2, 3, 4, 5, 6};  // wrong dimensions for this program
-  SimplexOptions opt;
-  opt.warm = &warm;
-  const Problem p = perturbable_lp(3.0);
-  const Solution s = solve_simplex(p, opt);
-  ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_EQ(warm.hits, 0);
-  EXPECT_EQ(warm.misses, 1);
-  EXPECT_NEAR(s.objective, solve_simplex(p).objective, 1e-9);
-  // The handle was refreshed with a usable basis for the next solve.
-  EXPECT_EQ(static_cast<int>(warm.basis.size()),
-            static_cast<int>(p.rows.size()));
-}
-
-TEST(SimplexWarmStart, InfeasibleSeedVertexRejected) {
-  // Seed from rhs1 = 3 keeps t tight; jumping rhs1 far enough makes the
-  // old vertex primal infeasible, so the solve must fall back to phase 1
-  // and still find the right optimum.
-  WarmStart warm;
-  SimplexOptions opt;
-  opt.warm = &warm;
-  ASSERT_EQ(solve_simplex(perturbable_lp(3.0), opt).status, Status::Optimal);
-  const Problem jumped = perturbable_lp(11.0);
-  const Solution hot = solve_simplex(jumped, opt);
-  const Solution cold = solve_simplex(jumped);
-  ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
 }
 
 // ---- Revised engine: the factorized core must reproduce every verdict and
@@ -380,54 +314,84 @@ TEST(RevisedSimplexGolden, Lp2InstanceObjectiveMatchesTableau) {
   const core::Instance inst = core::make_chains(
       5, 2, 4, 3, core::MachineModel::uniform(0.3, 0.9), rng);
   const rounding::Lp2Result res = rounding::solve_and_round_lp2(
-      inst, inst.dag().chains(), nullptr, lp::SimplexEngine::Revised);
+      inst, inst.dag().chains(), lp::SimplexEngine::Revised);
   EXPECT_NEAR(res.t_fractional, 5.296096594137738, 1e-9);
 }
 
-TEST(RevisedSimplexWarmStart, RepeatSolveSkipsPhase1) {
+// ---- Revised-engine seed basis (SimplexOptions::seed_basis; the LP1 crash
+// basis is its one production caller).
+
+TEST(RevisedSimplexSeed, RepeatSolveSkipsPhase1) {
   const Problem p = perturbable_lp(3.0);
-  WarmStart warm;
-  SimplexOptions opt = revised_opt();
-  opt.warm = &warm;
-  const Solution cold = solve_simplex(p, opt);
+  const Solution cold = solve_simplex(p, revised_opt());
   ASSERT_EQ(cold.status, Status::Optimal);
-  ASSERT_FALSE(warm.basis.empty());
+  ASSERT_FALSE(cold.basis.empty());
   EXPECT_GT(cold.phase1_iterations, 0);
+  SimplexOptions opt = revised_opt();
+  opt.seed_basis = cold.basis;
   const Solution hot = solve_simplex(p, opt);
   ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_EQ(warm.hits, 1);
+  EXPECT_EQ(hot.engine, SimplexEngine::Revised);
+  EXPECT_EQ(hot.phase1_iterations, 0);
+  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
+  for (std::size_t i = 0; i < cold.x.size(); ++i) {
+    EXPECT_NEAR(hot.x[i], cold.x[i], 1e-9);
+  }
+}
+
+TEST(RevisedSimplexSeed, TableauBasisSeedsRevised) {
+  // Both engines number columns through the same standard form, so a
+  // tableau-recorded basis is a valid revised seed.
+  const Problem p = perturbable_lp(3.0);
+  SimplexOptions tab_opt;
+  tab_opt.engine = SimplexEngine::Tableau;
+  const Solution cold = solve_simplex(p, tab_opt);
+  ASSERT_EQ(cold.status, Status::Optimal);
+  SimplexOptions opt = revised_opt();
+  opt.seed_basis = cold.basis;
+  const Solution hot = solve_simplex(p, opt);
+  ASSERT_EQ(hot.status, Status::Optimal);
   EXPECT_EQ(hot.phase1_iterations, 0);
   EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
 }
 
-TEST(RevisedSimplexWarmStart, BasesArePortableAcrossEngines) {
-  // A tableau-recorded basis must seed the revised engine and vice versa:
-  // both engines number columns through the same standard form.
+TEST(RevisedSimplexSeed, MismatchedSeedFallsBackCold) {
   const Problem p = perturbable_lp(3.0);
-  WarmStart warm;
-  SimplexOptions tab_opt;
-  tab_opt.engine = SimplexEngine::Tableau;
-  tab_opt.warm = &warm;
-  const Solution cold = solve_simplex(p, tab_opt);
-  ASSERT_EQ(cold.status, Status::Optimal);
+  SimplexOptions opt = revised_opt();
+  opt.seed_basis = {0, 1, 2, 3, 4, 5, 6};  // wrong dimensions for this program
+  const Solution s = solve_simplex(p, opt);
+  ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_EQ(s.engine, SimplexEngine::Revised);
+  EXPECT_GT(s.phase1_iterations, 0) << "a rejected seed must run phase 1";
+  EXPECT_NEAR(s.objective, solve_simplex(p, revised_opt()).objective, 1e-9);
+  // An artificial column is never an acceptable seed column either.
+  const StandardForm sf = build_standard_form(p);
+  ASSERT_LT(sf.art_begin, sf.n_total);
+  opt.seed_basis = sf.init_basis;
+  const Solution art = solve_simplex(p, opt);
+  ASSERT_EQ(art.status, Status::Optimal);
+  EXPECT_GT(art.phase1_iterations, 0);
+  EXPECT_NEAR(art.objective, s.objective, 1e-9);
+}
 
-  SimplexOptions rev_opt = revised_opt();
-  rev_opt.warm = &warm;
-  const Solution hot = solve_simplex(p, rev_opt);
+TEST(RevisedSimplexSeed, InfeasibleSeedVertexRejected) {
+  // The optimal basis at rhs1 = 3 is primal infeasible once rhs1 jumps to
+  // 11, so the seed must be rejected, phase 1 must run, and the optimum
+  // must still match a cold solve.
+  const Solution seed = solve_simplex(perturbable_lp(3.0), revised_opt());
+  ASSERT_EQ(seed.status, Status::Optimal);
+  const Problem jumped = perturbable_lp(11.0);
+  SimplexOptions opt = revised_opt();
+  opt.seed_basis = seed.basis;
+  const Solution hot = solve_simplex(jumped, opt);
+  const Solution cold = solve_simplex(jumped, revised_opt());
   ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_EQ(warm.hits, 1);
-  EXPECT_EQ(hot.phase1_iterations, 0);
+  ASSERT_EQ(cold.status, Status::Optimal);
+  // Accepting the seed would start phase 2 from an infeasible vertex, which
+  // fails verification and surfaces as a re-solve on the tableau.
+  EXPECT_EQ(hot.engine, SimplexEngine::Revised);
+  EXPECT_GT(hot.phase1_iterations, 0) << "infeasible seed was accepted";
   EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
-
-  WarmStart back;
-  back.basis = hot.basis;
-  SimplexOptions tab_warm;
-  tab_warm.engine = SimplexEngine::Tableau;
-  tab_warm.warm = &back;
-  const Solution round_trip = solve_simplex(p, tab_warm);
-  ASSERT_EQ(round_trip.status, Status::Optimal);
-  EXPECT_EQ(back.hits, 1);
-  EXPECT_NEAR(round_trip.objective, cold.objective, 1e-9);
 }
 
 TEST(RevisedSimplex, AutoSwitchesOnSize) {
