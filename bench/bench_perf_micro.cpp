@@ -258,11 +258,15 @@ BENCHMARK(BM_ExactDp)->Arg(4)->Arg(6)->Arg(8);
 
 // Cost of one registry prepare (the deterministic LP solve + rounding the
 // api layer shares across replications) vs the per-policy mint afterwards.
+// reuse_cache off: every iteration prepares cold instead of timing a
+// PrecomputeCache hit.
 void BM_RegistryPrepare(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   core::Instance inst = bench_instance(n, 8, 19);
+  api::SolverOptions cold;
+  cold.reuse_cache = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(api::solve_auto(inst));
+    benchmark::DoNotOptimize(api::solve_auto(inst, cold));
   }
 }
 BENCHMARK(BM_RegistryPrepare)->Arg(16)->Arg(64);
@@ -306,6 +310,31 @@ void BM_BvnDecompose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BvnDecompose)->Arg(8)->Arg(24);
+
+// What a `solve` request with lower_bound:true computes on the indep_solve
+// median class (n x 32, volunteer-computing machine classes): a cold
+// prepare plus the lower bound read from the prepared solver. "lp_solves"
+// counts simplex solves per iteration; the bound reuses the prepare's
+// LP1(J, 1/2), so CI gates it at 1.
+void BM_SolveWithLowerBound(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  util::Rng rng(21);
+  const core::Instance inst =
+      core::make_independent(n, 32, core::MachineModel::classes(), rng);
+  api::SolverOptions cold;
+  cold.reuse_cache = false;
+  const obs::Counter& solves =
+      obs::Registry::global().counter("suu_lp_solves_total");
+  const std::uint64_t solves_before = solves.value();
+  for (auto _ : state) {
+    const api::PreparedSolver solver = api::solve_auto(inst, cold);
+    benchmark::DoNotOptimize(api::lower_bound_auto(inst, solver).value);
+  }
+  state.counters["lp_solves"] = benchmark::Counter(
+      static_cast<double>(solves.value() - solves_before) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_SolveWithLowerBound)->Arg(64);
 
 }  // namespace
 

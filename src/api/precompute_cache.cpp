@@ -11,8 +11,8 @@ PrecomputeCache& PrecomputeCache::global() {
   return *cache;
 }
 
-sim::PolicyFactory PrecomputeCache::get_or_prepare(
-    std::uint64_t key, const std::function<sim::PolicyFactory()>& make) {
+PreparedParts PrecomputeCache::get_or_prepare(
+    std::uint64_t key, const std::function<PreparedParts()>& make) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(key);
@@ -20,12 +20,12 @@ sim::PolicyFactory PrecomputeCache::get_or_prepare(
       ++stats_.hits;
       // Touch: move to most-recently-used position.
       lru_.splice(lru_.end(), lru_, it->second.lru_it);
-      return it->second.factory;
+      return it->second.parts;
     }
     ++stats_.misses;
   }
-  sim::PolicyFactory made = make();  // outside the lock: may solve LPs
-  SUU_CHECK_MSG(made != nullptr, "preparer returned a null factory");
+  PreparedParts made = make();  // outside the lock: may solve LPs
+  SUU_CHECK_MSG(made.factory != nullptr, "preparer returned a null factory");
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);
   if (it != entries_.end()) {

@@ -2,18 +2,21 @@
 //
 // SolverRegistry preparers run the deterministic per-instance work (LP1/LP2
 // solve + rounding, heavy-path decomposition, DP value iteration) and
-// return a factory sharing those artifacts. Across an experiment grid the
-// same instance appears in many cells — and across repeated grids in the
-// same process, many times more — so the registry memoizes prepared
-// factories here, keyed by a 64-bit hash of (instance fingerprint, resolved
-// solver name, solver options).
+// return a factory sharing those artifacts, plus the relaxation optima
+// they solved on the way (algos::Relaxations: LP1(J, 1/2) for suu-i-*, the
+// chains' LP2 for suu-c), which api::lower_bound_auto reads instead of
+// solving the same program again. Across an experiment grid the same
+// instance appears in many cells — and across repeated grids in the same
+// process, many times more — so the registry memoizes both here, in one
+// entry, keyed by a 64-bit hash of (instance fingerprint, resolved solver
+// name, solver options).
 //
 // Correctness rests on two repo invariants: preparers are deterministic
-// functions of (instance, options), and factories are immutable once built
-// (each mint returns a fresh policy; shared artifacts are read-only behind
-// shared_ptr/by-value configs). A cached factory is therefore
-// indistinguishable from a freshly prepared one, byte for byte, in any
-// downstream measurement.
+// functions of (instance, options), and entries are immutable once built
+// (each mint returns a fresh policy; shared artifacts and relaxation
+// values are read-only behind shared_ptr/by-value configs). A cached entry
+// is therefore indistinguishable from a freshly prepared one, byte for
+// byte, in any downstream measurement.
 //
 // Eviction is LRU: every hit moves its entry to the back of the recency
 // list, so a long-running service keeps its hot session instances resident
@@ -40,12 +43,25 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "sim/engine.hpp"
 
+namespace suu::algos {
+struct Relaxations;
+}
+
 namespace suu::api {
+
+/// One prepared solver as a preparer returns it and the cache stores it:
+/// the policy factory plus the relaxation optima solved while preparing
+/// (null when the preparer solved none).
+struct PreparedParts {
+  sim::PolicyFactory factory;
+  std::shared_ptr<const algos::Relaxations> relaxations;
+};
 
 class PrecomputeCache {
  public:
@@ -61,11 +77,11 @@ class PrecomputeCache {
   /// The process-wide cache consulted by SolverRegistry::prepare.
   static PrecomputeCache& global();
 
-  /// Return the factory cached under `key` (touching its recency), or run
+  /// Return the parts cached under `key` (touching its recency), or run
   /// `make`, cache its result, and return it. `make` executes outside the
   /// cache lock.
-  sim::PolicyFactory get_or_prepare(
-      std::uint64_t key, const std::function<sim::PolicyFactory()>& make);
+  PreparedParts get_or_prepare(std::uint64_t key,
+                               const std::function<PreparedParts()>& make);
 
   /// Entries retained before least-recently-used eviction kicks in (grids
   /// rarely exceed a few dozen live keys; the cap bounds pathological
@@ -87,7 +103,7 @@ class PrecomputeCache {
 
  private:
   struct Entry {
-    sim::PolicyFactory factory;
+    PreparedParts parts;
     std::list<std::uint64_t>::iterator lru_it;  // position in lru_
   };
 

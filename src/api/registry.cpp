@@ -33,53 +33,92 @@ sim::PolicyFactory stateless() {
   return [] { return std::make_unique<P>(); };
 }
 
-void register_builtins(SolverRegistry& r) {
-  r.add("suu-i-sem",
-        [](const core::Instance& inst, const SolverOptions& opt) {
-          algos::SuuISemPolicy::Config cfg;
-          cfg.lp1 = opt.lp1;
-          if (opt.share_precompute) {
-            cfg.round1 = algos::SuuISemPolicy::precompute_round1(inst, opt.lp1);
-          }
-          return [cfg] {
-            return std::make_unique<algos::SuuISemPolicy>(cfg);
-          };
-        },
-        "SUU-I-SEM, semioblivious doubling rounds (Thm 4, "
-        "O(log log min{m,n}))");
-  r.add("suu-i",
-        [](const core::Instance& inst, const SolverOptions& opt) {
-          return SolverRegistry::global().prepare(inst, "suu-i-sem", opt)
-              .factory;
-        },
-        "alias for suu-i-sem");
-  r.add("suu-i-obl",
-        [](const core::Instance& inst, const SolverOptions& opt) {
-          if (opt.share_precompute) {
-            auto pre = algos::SuuIOblPolicy::precompute(inst, opt.lp1);
-            return sim::PolicyFactory([pre] {
-              return std::make_unique<algos::SuuIOblPolicy>(pre);
-            });
-          }
-          const rounding::Lp1Options lp1 = opt.lp1;
-          return sim::PolicyFactory([lp1] {
-            return std::make_unique<algos::SuuIOblPolicy>(lp1);
-          });
-        },
-        "SUU-I-OBL, repeated oblivious LP1 schedule (Thm 3, O(log n))");
-  r.add("suu-c",
-        [](const core::Instance& inst, const SolverOptions& opt) {
-          SUU_CHECK_MSG(inst.dag().is_chains(),
-                        "suu-c requires a disjoint-chains dag; use 'auto' "
-                        "or 'suu-t' for forests");
-          algos::SuuCPolicy::Config cfg = suu_c_config(opt);
-          if (opt.share_precompute) {
-            cfg.lp2 = algos::SuuCPolicy::precompute(
-                inst, inst.dag().chains(), opt.lp1.engine, opt.lp1.pricing);
-          }
-          return [cfg] { return std::make_unique<algos::SuuCPolicy>(cfg); };
-        },
-        "SUU-C, adaptive pseudoschedule over rounded LP2 (Thm 9, chains)");
+/// Relaxations record for programs solved for `inst` under opt.lp1.
+std::shared_ptr<algos::Relaxations> relaxations_for(
+    const core::Instance& inst, const SolverOptions& opt) {
+  auto r = std::make_shared<algos::Relaxations>();
+  r->fingerprint = inst.fingerprint();
+  r->opt = opt.lp1;
+  return r;
+}
+
+}  // namespace
+
+// The paper solvers register through add_entry so they can report the
+// relaxation optima they solve; the rest use the public add().
+void SolverRegistry::register_builtins(SolverRegistry& r) {
+  r.add_entry("suu-i-sem",
+              [](const core::Instance& inst, const SolverOptions& opt) {
+                algos::SuuISemPolicy::Config cfg;
+                cfg.lp1 = opt.lp1;
+                std::shared_ptr<algos::Relaxations> values;
+                if (opt.share_precompute) {
+                  cfg.round1 =
+                      algos::SuuISemPolicy::precompute_round1(inst, opt.lp1);
+                  values = relaxations_for(inst, opt);
+                  values->lp1_all_half = cfg.round1->lower_bound;
+                }
+                return PreparedParts{
+                    [cfg] {
+                      return std::make_unique<algos::SuuISemPolicy>(cfg);
+                    },
+                    std::move(values)};
+              },
+              "SUU-I-SEM, semioblivious doubling rounds (Thm 4, "
+              "O(log log min{m,n}))");
+  r.add_entry("suu-i",
+              [](const core::Instance& inst, const SolverOptions& opt) {
+                PreparedSolver sem =
+                    SolverRegistry::global().prepare(inst, "suu-i-sem", opt);
+                return PreparedParts{std::move(sem.factory),
+                                     std::move(sem.relaxations)};
+              },
+              "alias for suu-i-sem");
+  r.add_entry("suu-i-obl",
+              [](const core::Instance& inst, const SolverOptions& opt) {
+                if (opt.share_precompute) {
+                  auto pre = algos::SuuIOblPolicy::precompute(inst, opt.lp1);
+                  auto values = relaxations_for(inst, opt);
+                  values->lp1_all_half = pre->lower_bound;
+                  return PreparedParts{
+                      [pre] {
+                        return std::make_unique<algos::SuuIOblPolicy>(pre);
+                      },
+                      std::move(values)};
+                }
+                const rounding::Lp1Options lp1 = opt.lp1;
+                return PreparedParts{
+                    [lp1] {
+                      return std::make_unique<algos::SuuIOblPolicy>(lp1);
+                    },
+                    nullptr};
+              },
+              "SUU-I-OBL, repeated oblivious LP1 schedule (Thm 3, "
+              "O(log n))");
+  r.add_entry("suu-c",
+              [](const core::Instance& inst, const SolverOptions& opt) {
+                SUU_CHECK_MSG(inst.dag().is_chains(),
+                              "suu-c requires a disjoint-chains dag; use "
+                              "'auto' or 'suu-t' for forests");
+                algos::SuuCPolicy::Config cfg = suu_c_config(opt);
+                std::shared_ptr<algos::Relaxations> values;
+                if (opt.share_precompute) {
+                  values = relaxations_for(inst, opt);
+                  values->lp2_chains = inst.dag().chains();
+                  cfg.lp2 = algos::SuuCPolicy::precompute(
+                      inst, values->lp2_chains, opt.lp1.engine,
+                      opt.lp1.pricing);
+                  values->lp2 = cfg.lp2->t_fractional;
+                }
+                return PreparedParts{
+                    [cfg] { return std::make_unique<algos::SuuCPolicy>(cfg); },
+                    std::move(values)};
+              },
+              "SUU-C, adaptive pseudoschedule over rounded LP2 (Thm 9, "
+              "chains)");
+  // suu-t solves one LP2 per heavy-path block; the forest lower bound is
+  // LP2 over all blocks at once, a different program, so suu-t reports no
+  // relaxation values.
   r.add("suu-t",
         [](const core::Instance& inst, const SolverOptions& opt) {
           SUU_CHECK_MSG(
@@ -145,8 +184,6 @@ void register_builtins(SolverRegistry& r) {
         "Lin-Rajaraman-flavor greedy rounds (O(log n) baseline)");
 }
 
-}  // namespace
-
 SolverRegistry& SolverRegistry::global() {
   static SolverRegistry* reg = [] {
     auto* r = new SolverRegistry();
@@ -158,9 +195,20 @@ SolverRegistry& SolverRegistry::global() {
 
 void SolverRegistry::add(const std::string& name, Preparer prepare,
                          std::string summary, bool cacheable) {
+  SUU_CHECK_MSG(prepare != nullptr, "solver '" << name << "' needs a preparer");
+  add_entry(
+      name,
+      [prepare = std::move(prepare)](const core::Instance& inst,
+                                     const SolverOptions& opt) {
+        return PreparedParts{prepare(inst, opt), nullptr};
+      },
+      std::move(summary), cacheable);
+}
+
+void SolverRegistry::add_entry(const std::string& name, PartsPreparer prepare,
+                               std::string summary, bool cacheable) {
   SUU_CHECK_MSG(name != "auto", "'auto' is reserved for structure dispatch");
   SUU_CHECK_MSG(!name.empty(), "solver name must be non-empty");
-  SUU_CHECK_MSG(prepare != nullptr, "solver '" << name << "' needs a preparer");
   const bool inserted =
       entries_
           .emplace(name,
@@ -202,13 +250,14 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
   // cacheable flag).
   const bool cacheable =
       it->second.cacheable && opt.share_precompute && opt.reuse_cache;
-  if (!cacheable) {
-    return PreparedSolver{resolved, it->second.prepare(inst, opt)};
-  }
-  const Preparer& preparer = it->second.prepare;
-  sim::PolicyFactory factory = PrecomputeCache::global().get_or_prepare(
-      prepare_key(inst, resolved, opt), [&] { return preparer(inst, opt); });
-  return PreparedSolver{resolved, std::move(factory)};
+  const PartsPreparer& preparer = it->second.prepare;
+  PreparedParts parts =
+      cacheable ? PrecomputeCache::global().get_or_prepare(
+                      prepare_key(inst, resolved, opt),
+                      [&] { return preparer(inst, opt); })
+                : preparer(inst, opt);
+  return PreparedSolver{resolved, std::move(parts.factory),
+                        std::move(parts.relaxations)};
 }
 
 // Prepare key: every field a preparer can read must be folded in, or two
@@ -260,12 +309,15 @@ PreparedSolver solve_auto(const core::Instance& inst,
   return SolverRegistry::global().prepare(inst, "auto", opt);
 }
 
-algos::LowerBound lower_bound_auto(const core::Instance& inst,
-                                   const rounding::Lp1Options& opt) {
+namespace {
+
+algos::LowerBound lower_bound_dispatch(const core::Instance& inst,
+                                       const rounding::Lp1Options& opt,
+                                       const algos::Relaxations* known) {
   const core::Dag& dag = inst.dag();
-  if (dag.is_empty()) return algos::lower_bound_independent(inst, opt);
+  if (dag.is_empty()) return algos::lower_bound_independent(inst, opt, known);
   if (dag.is_chains()) {
-    return algos::lower_bound_chains(inst, dag.chains(), opt);
+    return algos::lower_bound_chains(inst, dag.chains(), opt, known);
   }
   if (dag.is_out_forest() || dag.is_in_forest()) {
     const chains::Decomposition dec = chains::decompose_forest(dag);
@@ -273,9 +325,22 @@ algos::LowerBound lower_bound_auto(const core::Instance& inst,
     for (const auto& block : dec.blocks) {
       all.insert(all.end(), block.begin(), block.end());
     }
-    return algos::lower_bound_chains(inst, all, opt);
+    return algos::lower_bound_chains(inst, all, opt, known);
   }
-  return algos::lower_bound_independent(inst, opt);
+  return algos::lower_bound_independent(inst, opt, known);
+}
+
+}  // namespace
+
+algos::LowerBound lower_bound_auto(const core::Instance& inst,
+                                   const rounding::Lp1Options& opt) {
+  return lower_bound_dispatch(inst, opt, nullptr);
+}
+
+algos::LowerBound lower_bound_auto(const core::Instance& inst,
+                                   const PreparedSolver& prepared,
+                                   const rounding::Lp1Options& opt) {
+  return lower_bound_dispatch(inst, opt, prepared.relaxations.get());
 }
 
 }  // namespace suu::api

@@ -5,7 +5,11 @@
 // registry. A preparer runs the solver's deterministic per-instance work
 // exactly once — LP1/LP2 solve + rounding, heavy-path decomposition, DP
 // value iteration — and returns a sim::PolicyFactory whose policies share
-// that precomputation across Monte-Carlo replications.
+// that precomputation across Monte-Carlo replications. The paper solvers
+// also keep the relaxation optima they solved (LP1(J, 1/2) for suu-i-sem
+// and suu-i-obl, LP2 on the chains for suu-c) on the PreparedSolver, so
+// lower_bound_auto(inst, prepared, opt) reuses them instead of solving the
+// same program twice per request.
 //
 // Naming scheme (see docs/architecture.md):
 //   suu-i-sem / suu-i-obl   paper Section 3 (Thm 4 / Thm 3); "suu-i" is an
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "algos/lower_bounds.hpp"
+#include "api/precompute_cache.hpp"
 #include "core/instance.hpp"
 #include "rounding/lp1.hpp"
 #include "sim/engine.hpp"
@@ -57,11 +62,14 @@ struct SolverOptions {
   double fallback_factor = 64.0;  ///< superstep budget multiplier
 };
 
-/// A solver prepared for one instance: the resolved registry name plus a
-/// factory that mints fresh policies sharing the precomputed artifacts.
+/// A solver prepared for one instance: the resolved registry name, a
+/// factory that mints fresh policies sharing the precomputed artifacts, and
+/// the relaxation optima the preparer solved (null for solvers that solve
+/// none, custom ones included).
 struct PreparedSolver {
   std::string name;
   sim::PolicyFactory factory;
+  std::shared_ptr<const algos::Relaxations> relaxations;
 };
 
 class SolverRegistry {
@@ -109,11 +117,19 @@ class SolverRegistry {
                                    const SolverOptions& opt);
 
  private:
+  /// The builtin preparers also return the relaxation optima they solved;
+  /// add() wraps a custom Preparer into one that returns none.
+  using PartsPreparer = std::function<PreparedParts(const core::Instance&,
+                                                    const SolverOptions&)>;
   struct Entry {
-    Preparer prepare;
+    PartsPreparer prepare;
     std::string summary;
     bool cacheable = true;
   };
+  /// add() for a preparer that reports relaxation optima.
+  void add_entry(const std::string& name, PartsPreparer prepare,
+                 std::string summary, bool cacheable = true);
+  static void register_builtins(SolverRegistry& r);
   std::map<std::string, Entry> entries_;
 };
 
@@ -131,6 +147,17 @@ PreparedSolver solve_auto(const core::Instance& inst,
 /// decomposition (dropping cross-block edges only relaxes the program);
 /// general dags fall back to Lemma 1, which never uses independence.
 algos::LowerBound lower_bound_auto(const core::Instance& inst,
+                                   const rounding::Lp1Options& opt = {});
+
+/// The same bound for an instance that `prepared` was prepared for: every
+/// program `prepared` already solved identically (same instance, job set,
+/// L, options and chain list) is read from prepared.relaxations, and only
+/// the rest is solved. Bitwise equal to lower_bound_auto(inst, opt); the
+/// call to prefer when a solver is prepared anyway. For a suu-c solver on
+/// chains only LP1 is solved; a forest's all-blocks LP2 differs from
+/// suu-t's per-block programs and is always solved.
+algos::LowerBound lower_bound_auto(const core::Instance& inst,
+                                   const PreparedSolver& prepared,
                                    const rounding::Lp1Options& opt = {});
 
 }  // namespace suu::api

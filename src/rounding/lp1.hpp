@@ -38,6 +38,8 @@ struct Lp1Options {
   /// revised engine. Like `engine`, this also governs the LP2 solves when
   /// threaded through suu::api.
   lp::PricingRule pricing = lp::PricingRule::Auto;
+
+  bool operator==(const Lp1Options&) const = default;
 };
 
 struct Lp1Fractional {

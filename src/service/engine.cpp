@@ -129,6 +129,16 @@ const api::CellResult& run_runner_guarded(api::ExperimentRunner& runner) {
   }
 }
 
+/// The request's lower bound, reusing the relaxations its prepared solver
+/// already solved. Whatever LP work is left is attributed to the prepare
+/// phase, like the solver's own LP solves.
+algos::LowerBound prepared_lower_bound(const core::Instance& instance,
+                                       const api::PreparedSolver& solver,
+                                       const rounding::Lp1Options& opt) {
+  ScopedPhase phase(kPhasePrepare);
+  return api::lower_bound_auto(instance, solver, opt);
+}
+
 }  // namespace
 
 Engine::Engine(const Config& cfg)
@@ -745,7 +755,7 @@ std::string Engine::handle_solve(const Json& params) {
   json_append_quoted(out, fingerprint_hex(instance.fingerprint()));
   if (p.want_lower_bound) {
     const algos::LowerBound lb =
-        api::lower_bound_auto(instance, p.options.lp1);
+        prepared_lower_bound(instance, prep->solver, p.options.lp1);
     out += ",\"lower_bound\":" + util::fmt(lb.value, 6);
   }
   out += '}';
@@ -810,7 +820,7 @@ std::string estimate_result_json(const api::PreparedSolver& solver,
                                          capped, makespan);
   if (p.solve.want_lower_bound) {
     const algos::LowerBound lb =
-        api::lower_bound_auto(instance, p.solve.options.lp1);
+        prepared_lower_bound(instance, solver, p.solve.options.lp1);
     out += ",\"lower_bound\":" + util::fmt(lb.value, 6);
     if (lb.value > 0.0) {
       out += ",\"ratio\":" + util::fmt(makespan.mean / lb.value, 6);

@@ -221,8 +221,8 @@ TEST(PrecomputeCache, LruEvictionTouchesOnHit) {
   cache.set_capacity(2);
 
   const auto trivial = [] {
-    return sim::PolicyFactory(
-        [] { return std::make_unique<algos::AllOnOnePolicy>(); });
+    return PreparedParts{
+        [] { return std::make_unique<algos::AllOnOnePolicy>(); }, nullptr};
   };
   cache.get_or_prepare(1, trivial);  // miss        lru: [1]
   cache.get_or_prepare(2, trivial);  // miss        lru: [1, 2]
@@ -250,8 +250,8 @@ TEST(PrecomputeCache, CapacityShrinkEvictsLruFirst) {
   cache.set_capacity(4);
 
   const auto trivial = [] {
-    return sim::PolicyFactory(
-        [] { return std::make_unique<algos::AllOnOnePolicy>(); });
+    return PreparedParts{
+        [] { return std::make_unique<algos::AllOnOnePolicy>(); }, nullptr};
   };
   for (std::uint64_t k = 1; k <= 4; ++k) cache.get_or_prepare(k, trivial);
   cache.get_or_prepare(1, trivial);  // touch 1; lru order now [2, 3, 4, 1]
