@@ -63,7 +63,6 @@ std::string quoted_payload(const core::Instance& inst) {
 struct Family {
   std::string name;
   core::Instance root;
-  std::string options;  ///< wire options JSON body (sans braces)
 };
 
 struct FamilyResult {
@@ -79,7 +78,6 @@ FamilyResult run_family(const Family& fam, int steps) {
   FamilyResult out;
   out.name = fam.name;
   service::Engine engine;
-  const std::string opts = "{" + fam.options + "}";
 
   const service::Json opened = service::Json::parse(engine.handle(
       R"({"id":1,"method":"open_instance","params":{"instance":)" +
@@ -94,7 +92,7 @@ FamilyResult run_family(const Family& fam, int steps) {
       opened.find("result")->find("handle")->as_int64("handle"));
   // Root solve: the chain starts from a cached, pinned parent.
   engine.handle(R"({"id":2,"method":"solve","params":{"handle":)" +
-                std::to_string(handle) + R"(,"options":)" + opts + "}}");
+                std::to_string(handle) + "}}");
 
   util::Rng rng(42);
   core::Instance current = fam.root;
@@ -125,7 +123,7 @@ FamilyResult run_family(const Family& fam, int steps) {
     update += "}}}";
     const std::string solve_warm =
         R"({"id":4,"method":"solve","params":{"handle":)" +
-        std::to_string(handle) + R"(,"options":)" + opts + "}}";
+        std::to_string(handle) + "}}";
 
     const std::int64_t w0 = now_us();
     const std::string upd_resp = engine.handle(update);
@@ -141,7 +139,7 @@ FamilyResult run_family(const Family& fam, int steps) {
     const std::string solve_cold =
         R"({"id":4,"method":"solve","params":{"instance":)" +
         quoted_payload(current) +
-        R"(,"options":{"reuse_cache":false,)" + fam.options + "}}}";
+        R"(,"options":{"reuse_cache":false}}})";
     const std::int64_t c0 = now_us();
     const std::string cold_resp = engine.handle(solve_cold);
     out.cold_ms += static_cast<double>(now_us() - c0) / 1000.0;
@@ -162,18 +160,17 @@ int main(int argc, char** argv) {
   const std::string out_path =
       args.get_string("out", "BENCH_delta_resolve.json");
 
-  // Three prepare regimes: LP1 on the tableau engine, the chain
-  // decomposition's LP2 ladder, and LP1 forced onto the revised engine.
+  // Three prepare regimes under default options: LP1 at two sizes and the
+  // chain decomposition's LP2 ladder.
   std::vector<Family> families;
   {
     util::Rng gen(11);
     families.push_back(
-        {"Independent/40x6/tableau",
+        {"Independent/40x6",
          core::apply_delta(
              core::make_independent(
                  40, 6, core::MachineModel::uniform(0.3, 0.95), gen),
-             core::InstanceDelta{}),
-         R"("lp_engine":"tableau")"});
+             core::InstanceDelta{})});
   }
   {
     util::Rng gen(12);
@@ -182,18 +179,16 @@ int main(int argc, char** argv) {
          core::apply_delta(
              core::make_chains(6, 4, 4, 4,
                                core::MachineModel::uniform(0.3, 0.9), gen),
-             core::InstanceDelta{}),
-         R"("lp_engine":"auto")"});
+             core::InstanceDelta{})});
   }
   {
     util::Rng gen(13);
     families.push_back(
-        {"Independent/96x8/revised",
+        {"Independent/96x8",
          core::apply_delta(
              core::make_independent(
                  96, 8, core::MachineModel::uniform(0.3, 0.95), gen),
-             core::InstanceDelta{}),
-         R"("lp_engine":"revised")"});
+             core::InstanceDelta{})});
   }
 
   util::Table table({"family", "updates", "warm_ms", "cold_ms",

@@ -45,82 +45,16 @@ std::vector<int> all_jobs(int n) {
   return v;
 }
 
-void BM_SimplexLp1(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  core::Instance inst = bench_instance(n, 8, 11);
-  const auto jobs = all_jobs(n);
-  rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  std::int64_t pivots = 0;
-  for (auto _ : state) {
-    const rounding::Lp1Fractional frac =
-        rounding::solve_lp1(inst, jobs, 0.5, opt);
-    pivots += frac.simplex_iterations;
-    benchmark::DoNotOptimize(frac.t);
-  }
-  state.counters["pivots"] = benchmark::Counter(
-      static_cast<double>(pivots) /
-      static_cast<double>(state.iterations()));
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_SimplexLp1)
-    ->Arg(8)
-    ->Arg(16)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Complexity();
-
-// The factorized engine, forced, on the same instances — plus n=2048, which
-// the dense tableau cannot reasonably touch (its arena alone would be
-// ~340 MB). "pivots" counts priced iterations; "p1_pivots" the phase-1
-// share, so pricing and factorization regressions are visible separately
-// from wall time.
-void BM_RevisedLp1(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  core::Instance inst = bench_instance(n, 8, 11);
-  const auto jobs = all_jobs(n);
-  rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  opt.engine = lp::SimplexEngine::Revised;
-  std::int64_t pivots = 0, p1 = 0;
-  for (auto _ : state) {
-    const rounding::Lp1Fractional frac =
-        rounding::solve_lp1(inst, jobs, 0.5, opt);
-    pivots += frac.simplex_iterations;
-    p1 += frac.simplex_phase1_iterations;
-    benchmark::DoNotOptimize(frac.t);
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["pivots"] =
-      benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["p1_pivots"] =
-      benchmark::Counter(static_cast<double>(p1) / iters);
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_RevisedLp1)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(2048)
-    ->Arg(4096)
-    ->Complexity();
-
-// The pricing-rule ablation on the revised engine: same LP1 instances, the
-// entering-variable rule forced per benchmark. Beyond "pivots"/"p1_pivots",
-// "ftran_fill" reports the average fraction of the m rows an FTRAN result
-// actually occupied — the dual sparse eta storage only pays off while this
-// stays well below 1, so a storage regression is visible here even when
-// pivot counts hold steady.
-void revised_lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
-  const int n = static_cast<int>(state.range(0));
-  core::Instance inst = bench_instance(n, 8, 11);
-  const auto jobs = all_jobs(n);
-  rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  opt.engine = lp::SimplexEngine::Revised;
-  opt.pricing = rule;
+// LP1(J, 1/2) through the default simplex path: the revised engine from
+// the greedy crash basis, Dantzig pricing. "pivots" counts priced
+// iterations and "p1_pivots" the phase-1 share (0 whenever the crash basis
+// installs); "ftran_fill" reports the average fraction of the rows an
+// FTRAN result actually occupied — the sparse eta storage only pays off
+// while this stays well below 1, so a storage regression is visible here
+// even when pivot counts hold steady.
+void run_lp1(benchmark::State& state, const core::Instance& inst,
+             const rounding::Lp1Options& opt) {
+  const auto jobs = all_jobs(inst.num_jobs());
   std::int64_t pivots = 0, p1 = 0, ftran_calls = 0, ftran_nnz = 0;
   for (auto _ : state) {
     const rounding::Lp1Fractional frac =
@@ -136,19 +70,58 @@ void revised_lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
       benchmark::Counter(static_cast<double>(pivots) / iters);
   state.counters["p1_pivots"] =
       benchmark::Counter(static_cast<double>(p1) / iters);
-  // LP1's standard form has one cover row per job plus the 8 load rows.
-  const double rows = static_cast<double>(n + 8);
+  // LP1's standard form has one cover row per job plus one load row per
+  // machine.
+  const double rows =
+      static_cast<double>(inst.num_jobs() + inst.num_machines());
   state.counters["ftran_fill"] = benchmark::Counter(
       ftran_calls > 0 ? static_cast<double>(ftran_nnz) /
                             (static_cast<double>(ftran_calls) * rows)
                       : 0.0);
 }
-BENCHMARK_CAPTURE(revised_lp1_pricing, dantzig, lp::PricingRule::Dantzig)
-    ->Name("BM_RevisedLp1Pricing/dantzig")
+
+rounding::Lp1Options simplex_lp1(lp::PricingRule rule) {
+  rounding::Lp1Options opt;
+  opt.solver = rounding::Lp1Options::Solver::Simplex;
+  opt.pricing = rule;
+  return opt;
+}
+
+void BM_Lp1(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  run_lp1(state, bench_instance(n, 8, 11), simplex_lp1(lp::PricingRule::Auto));
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_Lp1)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(2048)
+    ->Arg(4096)
+    ->Complexity();
+
+// The default LP1 of indep_solve's median class: 64 jobs on 32
+// volunteer-computing machine classes (the BM_SolveWithLowerBound instance).
+void lp1_indep_median(benchmark::State& state) {
+  util::Rng rng(21);
+  run_lp1(state,
+          core::make_independent(64, 32, core::MachineModel::classes(), rng),
+          rounding::Lp1Options{});
+}
+BENCHMARK(lp1_indep_median)->Name("BM_Lp1/64x32");
+
+// The pricing ablation behind "LP1 Auto resolves to Dantzig": the same LP1
+// instances with the entering-variable rule forced per benchmark.
+void lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
+  const int n = static_cast<int>(state.range(0));
+  run_lp1(state, bench_instance(n, 8, 11), simplex_lp1(rule));
+}
+BENCHMARK_CAPTURE(lp1_pricing, dantzig, lp::PricingRule::Dantzig)
+    ->Name("BM_Lp1Pricing/dantzig")
     ->Arg(256)
     ->Arg(1024);
-BENCHMARK_CAPTURE(revised_lp1_pricing, devex, lp::PricingRule::Devex)
-    ->Name("BM_RevisedLp1Pricing/devex")
+BENCHMARK_CAPTURE(lp1_pricing, devex, lp::PricingRule::Devex)
+    ->Name("BM_Lp1Pricing/devex")
     ->Arg(256)
     ->Arg(1024);
 
@@ -181,18 +154,15 @@ void BM_RoundLp1(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundLp1)->Arg(16)->Arg(64)->Arg(256);
 
-// The default LP2 path (Auto engine, Auto pricing). From 32 chains up it
-// runs on the revised engine; "fallbacks" counts re-solves on the dense
-// tableau per solve, and CI gates it at 0 on the 64-chain entry.
+// The default LP2 path (revised engine, Auto pricing = Devex) plus the
+// Lemma 6 rounding. A numerical failure makes solve_and_round_lp2 throw,
+// which aborts the whole bench run.
 void BM_Lp2ChainsPipeline(benchmark::State& state) {
   const int n_chains = static_cast<int>(state.range(0));
   util::Rng rng(14);
   core::Instance inst = core::make_chains(
       n_chains, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
   const auto chains = inst.dag().chains();
-  const obs::Counter& fallbacks =
-      obs::Registry::global().counter("suu_lp_tableau_fallbacks_total");
-  const std::uint64_t fallbacks_before = fallbacks.value();
   std::int64_t pivots = 0;
   for (auto _ : state) {
     const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
@@ -202,8 +172,6 @@ void BM_Lp2ChainsPipeline(benchmark::State& state) {
   const auto iters = static_cast<double>(state.iterations());
   state.counters["pivots"] =
       benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["fallbacks"] = benchmark::Counter(
-      static_cast<double>(fallbacks.value() - fallbacks_before) / iters);
 }
 BENCHMARK(BM_Lp2ChainsPipeline)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 

@@ -33,8 +33,7 @@ LowerBound lower_bound_chains(const core::Instance& inst,
       known->lp2_chains == chains) {
     lp2 = *known->lp2;
   } else {
-    lp2 = rounding::solve_and_round_lp2(inst, chains, opt.engine, opt.pricing)
-              .t_fractional;
+    lp2 = rounding::solve_and_round_lp2(inst, chains, opt.pricing).t_fractional;
   }
   lb.lp2_half = lp2 / 2.0;
   lb.value = std::max(lb.value, lb.lp2_half);

@@ -37,7 +37,7 @@ struct LowerBound {
 
 /// Relaxation optima already solved for one instance, each tagged with the
 /// program it came from. Both programs were solved under `opt` (LP2 reads
-/// its engine and pricing from it).
+/// its pricing rule from it).
 struct Relaxations {
   std::uint64_t fingerprint = 0;  ///< core::Instance::fingerprint()
   rounding::Lp1Options opt;

@@ -11,10 +11,9 @@ SuuCPolicy::SuuCPolicy(Config cfg) : cfg_(std::move(cfg)) {}
 
 std::shared_ptr<const rounding::Lp2Result> SuuCPolicy::precompute(
     const core::Instance& inst,
-    const std::vector<std::vector<int>>& chains, lp::SimplexEngine engine,
-    lp::PricingRule pricing) {
+    const std::vector<std::vector<int>>& chains, lp::PricingRule pricing) {
   return std::make_shared<const rounding::Lp2Result>(
-      rounding::solve_and_round_lp2(inst, chains, engine, pricing));
+      rounding::solve_and_round_lp2(inst, chains, pricing));
 }
 
 void SuuCPolicy::reset(const core::Instance& inst, util::Rng rng) {
@@ -29,7 +28,7 @@ void SuuCPolicy::reset(const core::Instance& inst, util::Rng rng) {
   // the caller precomputed it).
   std::shared_ptr<const rounding::Lp2Result> lp2_ptr = cfg_.lp2;
   if (!lp2_ptr) {
-    lp2_ptr = precompute(inst, chain_list, cfg_.lp1.engine, cfg_.lp1.pricing);
+    lp2_ptr = precompute(inst, chain_list, cfg_.lp1.pricing);
   }
   const rounding::Lp2Result& lp2 = *lp2_ptr;
   SUU_CHECK_MSG(lp2.assignment.num_jobs() == inst.num_jobs() &&

@@ -106,8 +106,7 @@ void SolverRegistry::register_builtins(SolverRegistry& r) {
                   values = relaxations_for(inst, opt);
                   values->lp2_chains = inst.dag().chains();
                   cfg.lp2 = algos::SuuCPolicy::precompute(
-                      inst, values->lp2_chains, opt.lp1.engine,
-                      opt.lp1.pricing);
+                      inst, values->lp2_chains, opt.lp1.pricing);
                   values->lp2 = cfg.lp2->t_fractional;
                 }
                 return PreparedParts{
@@ -127,8 +126,7 @@ void SolverRegistry::register_builtins(SolverRegistry& r) {
           const algos::SuuCPolicy::Config cfg = suu_c_config(opt);
           std::shared_ptr<const algos::SuuTPolicy::BlockCache> cache;
           if (opt.share_precompute) {
-            cache = algos::SuuTPolicy::precompute(inst, opt.lp1.engine,
-                                                  opt.lp1.pricing);
+            cache = algos::SuuTPolicy::precompute(inst, opt.lp1.pricing);
           }
           return [cfg, cache] {
             return cache ? std::make_unique<algos::SuuTPolicy>(cfg, cache)
@@ -266,12 +264,11 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
 // Lp1Options) changes the struct size and fails the build here — fold the
 // new field into the hash below, then update the expected size.
 static_assert(sizeof(rounding::Lp1Options) ==
-                  2 * sizeof(int) + sizeof(lp::SimplexEngine) +
-                      sizeof(lp::PricingRule),
+                  2 * sizeof(int) + sizeof(lp::PricingRule),
               "Lp1Options changed: fold the new field into prepare_key");
 static_assert(sizeof(SolverOptions) == sizeof(rounding::Lp1Options) +
                                            4 * sizeof(bool) +
-                                           2 * sizeof(double) + /*padding*/ 4,
+                                           2 * sizeof(double),
               "SolverOptions changed: fold the new field into prepare_key");
 std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
                                           const std::string& name,
@@ -281,7 +278,6 @@ std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.solver));
   h = util::hash_combine(h,
                          static_cast<std::uint64_t>(opt.lp1.simplex_size_limit));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.engine));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.pricing));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.share_precompute));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.random_delays));

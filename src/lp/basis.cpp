@@ -45,7 +45,7 @@ StandardForm build_standard_form(const Problem& p) {
   sf.n_orig = p.num_vars;
 
   // Normalize rows so rhs >= 0, accumulating duplicate terms in term order
-  // (bit-identical to the tableau's historical dense accumulation).
+  // (bit-identical to a dense row-by-row accumulation).
   std::vector<std::vector<std::pair<int, double>>> row_terms(
       static_cast<std::size_t>(m));
   std::vector<Rel> rel(static_cast<std::size_t>(m));
@@ -460,10 +460,10 @@ void BasisFactorization::push_eta(int p, const std::vector<double>& w,
 
 namespace {
 
-// The revised counterpart of simplex.cpp's Tableau: same public gestures
-// (load_objective / iterate / expel_artificials / extract), but every
-// quantity a pivot needs is recomputed through the factorization instead of
-// maintained in a dense arena.
+// The revised simplex: load_objective / iterate / expel_artificials /
+// extract, with every quantity a pivot needs recomputed through the
+// factorization instead of maintained in a dense arena (the dense tableau
+// survives only as the differential oracle under tests/).
 //
 // Under Dantzig pricing, reduced costs are exact each iteration (recomputed
 // from BTRAN, never incrementally drifted) and the candidate list is a
@@ -1027,7 +1027,7 @@ class RevisedSimplex {
 
   // Commit the pivot: update x_B, swap the basis, append the update eta and
   // refactorize on schedule. False = the scheduled refactorization found the
-  // basis numerically singular (caller falls back to the tableau engine).
+  // basis numerically singular (the solve reports NumericalFailure).
   bool pivot(int leave, int enter, double d_enter) {
     const double piv = w_.val[static_cast<std::size_t>(leave)];
     const double theta = xb_[static_cast<std::size_t>(leave)] / piv;
@@ -1097,18 +1097,16 @@ class RevisedSimplex {
 }  // namespace
 
 Solution solve_revised(const Problem& p, const StandardForm& sf,
-                       const SimplexOptions& opt, bool* numerical_trouble) {
-  *numerical_trouble = false;
+                       const SimplexOptions& opt) {
   Solution sol;
   const PricingRule rule =
-      pricing::resolve_pricing(opt.pricing, SimplexEngine::Revised);
+      opt.pricing == PricingRule::Auto ? PricingRule::Devex : opt.pricing;
   RevisedSimplex rs(sf, opt.tol, rule);
   const int m = sf.m;
   const int n = sf.n_total;
   const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);
   const int stall_cap = detail::simplex_stall_cap(m, n);
   int iters = 0;
-  bool trouble = false;
 
   auto run_phase = [&]() -> int {
     // The shared anti-cycling driver; -1 (numerical trouble from a failed
@@ -1116,25 +1114,25 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
     return detail::run_simplex_phase(rs, opt.tol, iter_cap, stall_cap, iters);
   };
 
-  const bool seeded = !opt.seed_basis.empty() && rs.try_seed(opt.seed_basis);
-  if (!seeded && !rs.install(sf.init_basis)) {
-    // The initial slack/artificial basis is the identity; failing to
-    // factorize it means something is deeply wrong — punt to the tableau.
-    *numerical_trouble = true;
-    return sol;
-  }
-
   auto finish = [&](Solution s) {
-    if (trouble) {
-      *numerical_trouble = true;
-    } else {
-      s.engine = SimplexEngine::Revised;
-      s.ftran_calls = rs.ftran_calls();
-      s.ftran_nnz = rs.ftran_nnz();
-      s.refactorizations = rs.refactorizations();
-    }
+    s.ftran_calls = rs.ftran_calls();
+    s.ftran_nnz = rs.ftran_nnz();
+    s.refactorizations = rs.refactorizations();
     return s;
   };
+  // A degraded factorization: report it with the pivots spent, no point.
+  auto failure = [&]() {
+    sol.status = Status::NumericalFailure;
+    sol.iterations = iters;
+    sol.x.clear();
+    sol.basis.clear();
+    return finish(std::move(sol));
+  };
+
+  const bool seeded = !opt.seed_basis.empty() && rs.try_seed(opt.seed_basis);
+  // The initial slack/artificial basis is the identity; failing to
+  // factorize it means something is deeply wrong.
+  if (!seeded && !rs.install(sf.init_basis)) return failure();
 
   // ---- Phase 1 (skipped from an accepted seed): minimize the sum of
   // artificials.
@@ -1149,8 +1147,8 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
       // Phase 1 is bounded below by zero, and iterate() reports unbounded
       // only on exact reduced costs, so this can only be a numerically
       // corrupted factorization.
-      trouble = true;
-      return finish(sol);
+      sol.phase1_iterations = iters;
+      return failure();
     }
     if (res == 3) {
       sol.status = Status::IterLimit;
@@ -1167,8 +1165,8 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
       return finish(sol);
     }
     if (!rs.expel_artificials()) {
-      trouble = true;
-      return finish(sol);
+      sol.phase1_iterations = iters;
+      return failure();
     }
   }
   sol.phase1_iterations = iters;
@@ -1181,10 +1179,7 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
   rs.load_objective(phase2, sf.art_begin);
   const int res = run_phase();
   sol.iterations = iters;
-  if (res == -1) {
-    trouble = true;
-    return finish(sol);
-  }
+  if (res == -1) return failure();
   if (res == 3 || res == 2) {
     sol.status = res == 3 ? Status::IterLimit : Status::Unbounded;
     return finish(sol);
@@ -1203,10 +1198,7 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
   if (opt.verify) {
     double scale = 1.0;
     for (const auto& row : p.rows) scale = std::max(scale, std::fabs(row.rhs));
-    if (max_violation(p, sol.x) > 1e-5 * scale) {
-      trouble = true;  // let the tableau engine arbitrate
-      return finish(Solution{});
-    }
+    if (max_violation(p, sol.x) > 1e-5 * scale) return failure();
   }
   return finish(sol);
 }

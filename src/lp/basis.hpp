@@ -1,10 +1,9 @@
 // Revised simplex over an eta-file basis factorization.
 //
-// The PR 2 tableau solver keeps the whole B^{-1}A matrix explicit and pays
-// O(m·n) per pivot to eliminate it; at the n=256/1024 LP1 regimes those
-// eliminations dominate everything else. The revised engine here keeps only
-// a factorization of the m×m basis matrix B and reconstructs what a pivot
-// needs on demand:
+// A dense tableau keeps the whole B^{-1}A matrix explicit and pays O(m·n)
+// per pivot to eliminate it. The revised engine here — libsuu's only
+// simplex core — keeps only a factorization of the m×m basis matrix B and
+// reconstructs what a pivot needs on demand:
 //
 //   FTRAN  w = B^{-1} a_j        (entering column, for the ratio test)
 //   BTRAN  y = c_B^T B^{-1}      (pricing row, for reduced costs)
@@ -20,15 +19,13 @@
 // roundoff — the interval is env-overridable (SUU_LP_REFACTOR_INTERVAL) so
 // slow-FP builds (ASan CI) can trade accuracy maintenance for wall time.
 //
-// Both engines solve the identical standard form (build_standard_form keeps
-// the column numbering and rhs normalization bit-identical to the tableau's
-// internal construction), so a Solution::basis produced by either engine
-// is a valid SimplexOptions::seed_basis for the revised one. solve_revised
-// never returns a wrong answer on numerical trouble: it reports it, and
-// lp::solve_simplex re-solves on the tableau engine, whose trajectories are
-// the repo's byte-stability anchor. That re-solve is a safety net, not a
-// path: pricing verdicts rest on exact reduced costs, so a well-posed solve
-// never needs it.
+// The standard form (build_standard_form) is also what the dense-tableau
+// differential oracle under tests/ scatters into its arena, so a
+// Solution::basis from either is a valid SimplexOptions::seed_basis.
+// solve_revised never returns a wrong answer on numerical trouble: it
+// returns Status::NumericalFailure, which callers surface as an error.
+// Pricing verdicts rest on exact reduced costs, so a well-posed solve never
+// reports it.
 #pragma once
 
 #include <algorithm>
@@ -58,12 +55,12 @@ int parse_refactor_interval(const char* env);
 /// process).
 int refactor_interval();
 
-/// The standard form `min c·x  s.t.  Ax {<=,=} b, b >= 0, x >= 0` both
-/// simplex engines solve: original variables, then one slack/surplus per
+/// The standard form `min c·x  s.t.  Ax {<=,=} b, b >= 0, x >= 0` the
+/// simplex solves: original variables, then one slack/surplus per
 /// inequality row, then one artificial per Ge/Eq row, with rhs-negative rows
 /// sign-flipped first. Column order, duplicate-term accumulation and the
-/// initial (slack/artificial) basis are bit-identical to what the tableau
-/// engine historically built, which is what makes bases interchangeable.
+/// initial (slack/artificial) basis are fixed, which is what makes bases
+/// interchangeable with the differential oracle's.
 struct StandardForm {
   int m = 0;          ///< rows
   int n_orig = 0;     ///< problem variables
@@ -213,13 +210,12 @@ class BasisFactorization {
   mutable std::vector<char> queued_;
 };
 
-/// Solve the standard form with the revised engine. Honors the same
-/// SimplexOptions contract as the tableau path (tol, max_iters, verify),
-/// plus the optional seed_basis. Sets *numerical_trouble instead of
-/// returning a wrong answer when the factorization degrades (singular
-/// refactorization, verification failure); the caller is expected to
-/// re-solve with the tableau engine.
+/// Solve the standard form with the revised engine, honoring every
+/// SimplexOptions field (tol, max_iters, verify, seed_basis, pricing).
+/// Returns Status::NumericalFailure instead of a wrong answer when the
+/// factorization degrades (singular refactorization, an "unbounded"
+/// phase 1, verification failure).
 Solution solve_revised(const Problem& p, const StandardForm& sf,
-                       const SimplexOptions& opt, bool* numerical_trouble);
+                       const SimplexOptions& opt);
 
 }  // namespace suu::lp

@@ -1,4 +1,4 @@
-// Entering-variable pricing for the simplex engines.
+// Entering-variable pricing for the simplex.
 //
 // Dantzig pricing ("most negative reduced cost") is scale-sensitive: a
 // column whose reduced cost looks steep only because its FTRAN'd image is
@@ -20,10 +20,15 @@
 //
 // Devex only re-ranks columns that are already improving; which columns
 // COUNT as improving, and the optimality certificate, always come from
-// exact reduced costs (the engines recompute them before declaring
+// exact reduced costs (the engine recomputes them before declaring
 // optimality). That is what keeps Devex's verdicts identical to Dantzig's
 // under the differential oracle — the rule changes the path, never the
 // answer.
+//
+// PricingRule::Auto resolves by program class, not here: the LP1 builder
+// (rounding/lp1.cpp) resolves it to Dantzig, which solves every LP1
+// measured faster than Devex (BM_Lp1Pricing), and
+// lp::solve_simplex resolves every other Auto to Devex.
 #pragma once
 
 #include <string_view>
@@ -43,18 +48,8 @@ bool parse_pricing_rule(std::string_view name, PricingRule* out);
 /// mean anything, and oversized weights would just freeze those columns out.
 inline constexpr double kWeightResetThreshold = 1e7;
 
-/// Resolve PricingRule::Auto for an engine. The tableau engine keeps
-/// Dantzig — its pivot trajectories are byte-recorded in the table1
-/// experiments — while the revised engine defaults to Devex, where the
-/// pivot-count win compounds with the cheaper per-pivot linear algebra.
-inline PricingRule resolve_pricing(PricingRule rule, SimplexEngine engine) {
-  if (rule != PricingRule::Auto) return rule;
-  return engine == SimplexEngine::Tableau ? PricingRule::Dantzig
-                                          : PricingRule::Devex;
-}
-
-/// Devex reference weights. Inactive until reset(n) is called (engines
-/// reset per objective load: each phase starts a fresh reference
+/// Devex reference weights. Inactive until reset(n) is called (the engine
+/// resets per objective load: each phase starts a fresh reference
 /// framework).
 class ReferenceWeights {
  public:

@@ -30,18 +30,8 @@ std::string to_string(Status s) {
       return "unbounded";
     case Status::IterLimit:
       return "iteration-limit";
-  }
-  return "?";
-}
-
-std::string to_string(SimplexEngine e) {
-  switch (e) {
-    case SimplexEngine::Auto:
-      return "auto";
-    case SimplexEngine::Tableau:
-      return "tableau";
-    case SimplexEngine::Revised:
-      return "revised";
+    case Status::NumericalFailure:
+      return "numerical-failure";
   }
   return "?";
 }

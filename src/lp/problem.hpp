@@ -33,26 +33,27 @@ struct Problem {
   void add_row(Row row);
 };
 
-enum class Status { Optimal, Infeasible, Unbounded, IterLimit };
+/// Solve verdicts. NumericalFailure is the simplex reporting that its
+/// basis factorization degraded (a singular refactorization, an "unbounded"
+/// phase 1, a point that fails verification) instead of returning a wrong
+/// answer; callers surface it as an error. The differential oracle holds it
+/// at zero.
+enum class Status {
+  Optimal,
+  Infeasible,
+  Unbounded,
+  IterLimit,
+  NumericalFailure
+};
 
 std::string to_string(Status s);
 
-/// Which simplex core solves the program. Tableau is the PR 2 flat-arena
-/// dense solver (O(m·n) per pivot, bit-stable pivot trajectories); Revised
-/// maintains a basis factorization instead of the full tableau (see
-/// lp/basis.hpp) and wins once the tableau stops fitting in cache. Auto
-/// switches on problem size (kRevisedAutoCells in lp/simplex.hpp).
-enum class SimplexEngine { Auto, Tableau, Revised };
-
-std::string to_string(SimplexEngine e);
-
 /// Entering-variable pricing rule (lp/pricing.hpp). Dantzig picks the most
-/// negative reduced cost — the historical rule and the byte-stability
-/// anchor. Devex weighs reduced costs by approximate edge norms, trading a
-/// little per-pivot bookkeeping for far fewer pivots on the long phase-1
-/// runs that dominate the n>=1024 LP1 regimes. Auto keeps Dantzig on the
-/// tableau engine (preserving recorded trajectories) and picks Devex on the
-/// revised engine.
+/// negative reduced cost. Devex weighs reduced costs by approximate edge
+/// norms, trading a little per-pivot bookkeeping for fewer pivots on
+/// programs whose columns differ widely in scale. Auto resolves per program
+/// class: the LP1 builder (rounding/lp1.cpp) resolves it to Dantzig, which
+/// wins on every LP1 measured, and every other program gets Devex.
 enum class PricingRule { Auto, Dantzig, Devex };
 
 std::string to_string(PricingRule r);
@@ -67,22 +68,18 @@ struct Solution {
   int iterations = 0;
   /// Pivots spent in phase 1 (0 when an accepted seed basis skipped it).
   int phase1_iterations = 0;
-  /// Basic column per tableau row on Status::Optimal (the solver's internal
-  /// column numbering: originals, then slacks, then artificials). Valid as
-  /// SimplexOptions::seed_basis for a follow-up revised solve.
+  /// Basic column per row on Status::Optimal (the standard form's column
+  /// numbering: originals, then slacks, then artificials). Valid as
+  /// SimplexOptions::seed_basis for a follow-up solve.
   std::vector<int> basis;
-  /// Engine that actually produced this solution. A Revised request that
-  /// hits numerical trouble is silently re-solved by the tableau, and this
-  /// field is how callers (and the differential oracle) see that happen.
-  SimplexEngine engine = SimplexEngine::Tableau;
-  /// FTRAN telemetry (revised engine only; the tableau leaves both 0):
-  /// entering-column solves performed and the summed support sizes they
-  /// produced. ftran_nnz / (ftran_calls * m) is the average fill the sparse
-  /// eta kernels actually touched — the perf benches report it.
+  /// FTRAN telemetry: entering-column solves performed and the summed
+  /// support sizes they produced. ftran_nnz / (ftran_calls * m) is the
+  /// average fill the sparse eta kernels actually touched — the perf
+  /// benches report it.
   std::int64_t ftran_calls = 0;
   std::int64_t ftran_nnz = 0;
-  /// Basis factorizations performed (revised engine only): the initial or
-  /// seed-basis install plus every scheduled mid-solve refactorization.
+  /// Basis factorizations performed: the initial or seed-basis install
+  /// plus every scheduled mid-solve refactorization.
   std::int64_t refactorizations = 0;
 };
 

@@ -27,7 +27,6 @@ void check_jobs(const core::Instance& inst, const std::vector<int>& jobs) {
 
 Lp1Fractional solve_with_simplex(const core::Instance& inst,
                                  const std::vector<int>& jobs, double L,
-                                 lp::SimplexEngine engine,
                                  lp::PricingRule pricing) {
   lp::Problem p;
   const int t_var = p.add_var(1.0);  // minimize t
@@ -71,50 +70,45 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   // basis matrix is block triangular — diagonal over the cover rows, the
   // nonsingular [t | slacks] block over the load rows — so the seed always
   // installs, and phase 1 (the bulk of a cold solve's pivots: ~4.3n at
-  // n=1024) vanishes. Gated to the revised engine (the only one that reads
-  // a seed basis) so the tableau's byte-recorded trajectories stay
-  // untouched.
-  lp::SimplexOptions sopt;
-  sopt.engine = engine;
-  sopt.pricing = pricing;
-  const auto rows = static_cast<std::int64_t>(p.rows.size());
-  const auto n_total =
-      rows + p.num_vars + static_cast<std::int64_t>(jobs.size());
-  if (lp::will_use_revised(engine, rows, n_total)) {
-    std::vector<double> load(inst.num_machines(), 0.0);
-    std::vector<int> chosen(jobs.size(), -1);   // var index per job
-    std::vector<int> machine(jobs.size(), -1);  // its machine
-    for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-      const int j = jobs[idx];
-      double best_load = 0.0;
-      for (const auto& [i, v] : var_of[idx]) {
-        const double step = L / inst.ell_capped(i, j, L);
-        if (chosen[idx] < 0 || load[i] + step < best_load) {
-          best_load = load[i] + step;
-          chosen[idx] = v;
-          machine[idx] = i;
-        }
+  // n=1024) vanishes.
+  std::vector<double> load(inst.num_machines(), 0.0);
+  std::vector<int> chosen(jobs.size(), -1);   // var index per job
+  std::vector<int> machine(jobs.size(), -1);  // its machine
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    const int j = jobs[idx];
+    double best_load = 0.0;
+    for (const auto& [i, v] : var_of[idx]) {
+      const double step = L / inst.ell_capped(i, j, L);
+      if (chosen[idx] < 0 || load[i] + step < best_load) {
+        best_load = load[i] + step;
+        chosen[idx] = v;
+        machine[idx] = i;
       }
-      load[machine[idx]] = best_load;
     }
-    int imax = 0;
-    for (int i = 1; i < inst.num_machines(); ++i) {
-      if (load[i] > load[imax]) imax = i;
-    }
-    std::vector<int>& crash = sopt.seed_basis;
-    crash.assign(static_cast<std::size_t>(rows), -1);
-    for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-      crash[idx] = chosen[idx];
-    }
-    // Every row is an inequality with rhs >= 0, so row r's slack is column
-    // num_vars + r.
-    for (int i = 0; i < inst.num_machines(); ++i) {
-      const int r = load_row_of[i];
-      if (r < 0) continue;
-      crash[static_cast<std::size_t>(r)] = i == imax ? t_var : p.num_vars + r;
-    }
+    load[machine[idx]] = best_load;
+  }
+  int imax = 0;
+  for (int i = 1; i < inst.num_machines(); ++i) {
+    if (load[i] > load[imax]) imax = i;
+  }
+  std::vector<int> crash(p.rows.size(), -1);
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    crash[idx] = chosen[idx];
+  }
+  // Every row is an inequality with rhs >= 0, so row r's slack is column
+  // num_vars + r.
+  for (int i = 0; i < inst.num_machines(); ++i) {
+    const int r = load_row_of[i];
+    if (r < 0) continue;
+    crash[static_cast<std::size_t>(r)] = i == imax ? t_var : p.num_vars + r;
   }
 
+  // Auto pricing resolves to Dantzig for this program class: from the
+  // crash basis it beats Devex on every LP1 measured (BM_Lp1Pricing).
+  lp::SimplexOptions sopt;
+  sopt.seed_basis = std::move(crash);
+  sopt.pricing =
+      pricing == lp::PricingRule::Auto ? lp::PricingRule::Dantzig : pricing;
   const lp::Solution sol = lp::solve_simplex(p, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP1 solve failed: " << lp::to_string(sol.status));
@@ -179,7 +173,7 @@ Lp1Fractional solve_lp1(const core::Instance& inst,
        static_cast<std::int64_t>(jobs.size()) * inst.num_machines() <=
            opt.simplex_size_limit);
   return use_simplex
-             ? solve_with_simplex(inst, jobs, L, opt.engine, opt.pricing)
+             ? solve_with_simplex(inst, jobs, L, opt.pricing)
              : solve_with_fw(inst, jobs, L);
 }
 

@@ -5,13 +5,14 @@
 //                        x integral, >= 0
 // with ell'_ij = min(ell_ij, L) (truncation changes nothing for integral x).
 //
-// solve_lp1 computes the *fractional* relaxation: exactly with the dense
-// simplex for moderate sizes, or via the certified Frank–Wolfe solver when
-// n*m is large. round_lp1 then follows Lemma 2: group machines per job by
-// floor(log2 ell'), scale group totals by 6 and floor, and route an integral
-// max-flow (source -> groups -> machines -> sink) whose edge flows are the
-// integral assignment. The result delivers log mass >= L to every job in J'
-// with machine loads <= ceil(6 t*).
+// solve_lp1 computes the *fractional* relaxation: exactly with the revised
+// simplex from a greedy crash basis for moderate sizes, or via the
+// certified Frank–Wolfe solver when n*m is large. round_lp1 then follows
+// Lemma 2: group machines per job by floor(log2 ell'), scale group totals
+// by 6 and floor, and route an integral max-flow (source -> groups ->
+// machines -> sink) whose edge flows are the integral assignment. The
+// result delivers log mass >= L to every job in J' with machine loads
+// <= ceil(6 t*).
 #pragma once
 
 #include <cstdint>
@@ -29,14 +30,9 @@ struct Lp1Options {
   Solver solver = Solver::Auto;
   /// Auto picks the simplex when |J'| * m is at most this threshold.
   int simplex_size_limit = 4000;
-  /// Simplex core (ignored by Frank–Wolfe): tableau, revised (basis
-  /// factorization), or size-based auto selection. Also governs the LP2
-  /// solves when these options are threaded through suu::api.
-  lp::SimplexEngine engine = lp::SimplexEngine::Auto;
   /// Simplex pricing rule (ignored by Frank–Wolfe; see lp/pricing.hpp).
-  /// Auto keeps the engine defaults: Dantzig on the tableau, Devex on the
-  /// revised engine. Like `engine`, this also governs the LP2 solves when
-  /// threaded through suu::api.
+  /// Auto resolves per program class: Dantzig for LP1, Devex for the LP2
+  /// solves these options also govern when threaded through suu::api.
   lp::PricingRule pricing = lp::PricingRule::Auto;
 
   bool operator==(const Lp1Options&) const = default;
@@ -51,12 +47,12 @@ struct Lp1Fractional {
   /// Sparse solution: x[idx] pairs with jobs[idx]; entries (machine, value).
   std::vector<std::vector<std::pair<int, double>>> x;
   /// Simplex pivots spent (0 for Frank–Wolfe) and the phase-1 share (0
-  /// when the revised engine started from the crash basis).
+  /// whenever the crash basis installs, which is every LP1).
   int simplex_iterations = 0;
   int simplex_phase1_iterations = 0;
-  /// FTRAN telemetry forwarded from lp::Solution (revised engine only;
-  /// 0 otherwise). ftran_nnz / (ftran_calls * rows) is the average fill the
-  /// sparse eta kernels actually touched — the perf benches report it.
+  /// FTRAN telemetry forwarded from lp::Solution (0 for Frank–Wolfe).
+  /// ftran_nnz / (ftran_calls * rows) is the average fill the sparse eta
+  /// kernels actually touched — the perf benches report it.
   std::int64_t ftran_calls = 0;
   std::int64_t ftran_nnz = 0;
 };

@@ -20,7 +20,6 @@ constexpr double kL = 1.0;  // LP2 uses a unit log-mass target
 
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
-                              lp::SimplexEngine engine,
                               lp::PricingRule pricing) {
   // ---- Collect the job set and validate the chain partition.
   std::vector<int> jobs;
@@ -91,7 +90,6 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
   }
 
   lp::SimplexOptions sopt;
-  sopt.engine = engine;
   sopt.pricing = pricing;
   const lp::Solution sol = lp::solve_simplex(p, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,

@@ -36,15 +36,11 @@ struct Lp2Result {
 /// `chains` must partition a subset of jobs into precedence-ordered chains;
 /// every job appearing in a chain gets mass >= 1.
 ///
-/// `engine` picks the simplex core (lp::SimplexEngine::Auto switches on
-/// program size) and `pricing` the entering-variable rule
-/// (lp::PricingRule::Auto keeps the per-engine defaults; any rule reaches
-/// the same optimum). Every solve starts cold.
+/// `pricing` picks the entering-variable rule (lp::PricingRule::Auto
+/// means Devex for LP2; any rule reaches the same optimum). Every solve
+/// starts cold on the revised simplex; a numerical failure throws.
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
-                              lp::SimplexEngine engine =
-                                  lp::SimplexEngine::Auto,
-                              lp::PricingRule pricing =
-                                  lp::PricingRule::Auto);
+                              lp::PricingRule pricing = lp::PricingRule::Auto);
 
 }  // namespace suu::rounding

@@ -66,8 +66,7 @@ api::SolverOptions parse_options(const Json& options) {
   check_known_keys(o,
                    {"share_precompute", "reuse_cache", "random_delays",
                     "grid_rounding", "gamma_factor", "fallback_factor",
-                    "lp1_solver", "lp1_simplex_size_limit", "lp_engine",
-                    "lp_pricing"},
+                    "lp1_solver", "lp1_simplex_size_limit", "lp_pricing"},
                    "options");
   opt.share_precompute = get_bool(o, "share_precompute", opt.share_precompute);
   opt.reuse_cache = get_bool(o, "reuse_cache", opt.reuse_cache);
@@ -93,18 +92,6 @@ api::SolverOptions parse_options(const Json& options) {
   opt.lp1.simplex_size_limit = static_cast<int>(
       get_int_in(o, "lp1_simplex_size_limit", opt.lp1.simplex_size_limit, 1,
                  1'000'000'000));
-  if (const auto it = o.find("lp_engine"); it != o.end()) {
-    const std::string& s = it->second.as_string("lp_engine");
-    if (s == "auto") {
-      opt.lp1.engine = lp::SimplexEngine::Auto;
-    } else if (s == "tableau") {
-      opt.lp1.engine = lp::SimplexEngine::Tableau;
-    } else if (s == "revised") {
-      opt.lp1.engine = lp::SimplexEngine::Revised;
-    } else {
-      bad_params("lp_engine must be one of auto|tableau|revised");
-    }
-  }
   if (const auto it = o.find("lp_pricing"); it != o.end()) {
     const std::string& s = it->second.as_string("lp_pricing");
     if (!lp::pricing::parse_pricing_rule(s, &opt.lp1.pricing)) {

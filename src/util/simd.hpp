@@ -1,108 +1,11 @@
 // Small vectorized kernels for the simplex hot loops.
 //
-// The dense work left in both engines after sparsity is exploited is a
-// handful of stream kernels: "subtract f times the pivot row from this row"
-// (tableau elimination, reduced-cost update) and scattered variants of the
-// same over an eta's support. This header gives them one home:
-//
-//  - axpy_minus:   y[i] -= a * x[i] over a contiguous range. Compiled to
-//    SSE2 mul+sub when available. Because the update is element-wise and
-//    never reassociates or fuses (no FMA), the vector path produces exactly
-//    the bits of the scalar fallback — which is what lets the tableau
-//    engine, the repo's byte-stability anchor, use it.
-//  - dot:          4-accumulator unrolled reduction. Reassociates, so it is
-//    NOT bit-stable against a sequential loop; only use it where the caller
-//    tolerates that (nothing byte-recorded does).
 //  - gather_axpy_minus: v[rows[k]] -= a * vals[k] over an index list; the
-//    eta-file FTRAN inner loop. Element-wise, so bit-stable.
-//
-// aligned_vector allocates on cache-line boundaries so row starts of the
-// tableau arena never straddle lines; the kernels themselves use unaligned
-// loads and accept any pointer.
+//    eta-file FTRAN/BTRAN inner loop. Element-wise over distinct rows, so
+//    the unrolled loop produces exactly the bits of the naive one.
 #pragma once
 
-#include <cstddef>
-#include <cstdlib>
-#include <new>
-#include <vector>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace suu::util::simd {
-
-inline constexpr std::size_t kAlign = 64;  // cache line
-
-/// Minimal aligned allocator (C++17 aligned operator new) for the dense
-/// arenas the kernels stream over.
-template <typename T>
-struct AlignedAllocator {
-  using value_type = T;
-  AlignedAllocator() noexcept = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kAlign}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kAlign});
-  }
-  template <typename U>
-  bool operator==(const AlignedAllocator<U>&) const noexcept {
-    return true;
-  }
-  template <typename U>
-  bool operator!=(const AlignedAllocator<U>&) const noexcept {
-    return false;
-  }
-};
-
-template <typename T>
-using aligned_vector = std::vector<T, AlignedAllocator<T>>;
-
-/// y[i] -= a * x[i] for i in [0, n). Bit-identical to the scalar loop on
-/// every path (element-wise multiply + subtract; no FMA contraction).
-inline void axpy_minus(double* y, const double* x, double a, int n) {
-  int i = 0;
-#if defined(__SSE2__)
-  const __m128d va = _mm_set1_pd(a);
-  for (; i + 4 <= n; i += 4) {
-    const __m128d y0 = _mm_loadu_pd(y + i);
-    const __m128d y1 = _mm_loadu_pd(y + i + 2);
-    const __m128d x0 = _mm_loadu_pd(x + i);
-    const __m128d x1 = _mm_loadu_pd(x + i + 2);
-    _mm_storeu_pd(y + i, _mm_sub_pd(y0, _mm_mul_pd(va, x0)));
-    _mm_storeu_pd(y + i + 2, _mm_sub_pd(y1, _mm_mul_pd(va, x1)));
-  }
-#else
-  for (; i + 4 <= n; i += 4) {
-    y[i] -= a * x[i];
-    y[i + 1] -= a * x[i + 1];
-    y[i + 2] -= a * x[i + 2];
-    y[i + 3] -= a * x[i + 3];
-  }
-#endif
-  for (; i < n; ++i) y[i] -= a * x[i];
-}
-
-/// sum of x[i] * y[i]. Unrolled with independent accumulators: fast, but the
-/// reassociation means the result can differ in the last ulps from a
-/// sequential loop. Do not use where bytes are recorded.
-inline double dot(const double* x, const double* y, int n) {
-  int i = 0;
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += x[i] * y[i];
-    s1 += x[i + 1] * y[i + 1];
-    s2 += x[i + 2] * y[i + 2];
-    s3 += x[i + 3] * y[i + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
-}
 
 /// v[rows[k]] -= a * vals[k] for k in [0, nnz): the scattered eta update.
 /// Element-wise over distinct rows, so bit-identical to the naive loop.

@@ -199,18 +199,21 @@ TEST(PrecomputeCache, OptOutBypassesCache) {
   EXPECT_EQ(s.size, 0u);
 }
 
-TEST(PrecomputeCache, PrepareKeyFoldsLpEngineAndPricing) {
-  // Cells that differ only in the simplex engine or pricing rule must not
-  // alias one prepared solver.
+TEST(PrecomputeCache, PrepareKeyFoldsLp1OptionsAndPricing) {
+  // Cells that differ only in the LP1 solver choice, its size cutover or
+  // the pricing rule must not alias one prepared solver.
   const core::Instance inst = independent_instance(7, 3, 41);
   const SolverOptions def;
-  SolverOptions revised;
-  revised.lp1.engine = lp::SimplexEngine::Revised;
+  SolverOptions simplex;
+  simplex.lp1.solver = rounding::Lp1Options::Solver::Simplex;
+  SolverOptions limit;
+  limit.lp1.simplex_size_limit = 16;
   SolverOptions devex;
   devex.lp1.pricing = lp::PricingRule::Devex;
   const std::uint64_t key =
       SolverRegistry::prepare_key(inst, "suu-i-sem", def);
-  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", revised));
+  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", simplex));
+  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", limit));
   EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", devex));
 }
 

@@ -1,7 +1,8 @@
 // Delta-differential oracle: random delta chains applied to open handles
 // through the update_instance wire method must leave the handle answering
 // solve/estimate BYTE-identically to a cold parse of the fully mutated
-// instance — across both LP engines and every pricing rule. This is the
+// instance — across both LP1 solvers (simplex and Frank–Wolfe, plus the
+// size-based auto choice) and every pricing rule. This is the
 // pin that keeps the delta path honest: skipping the re-parse of the full
 // payload may only change *how fast* a handle answers, never a single
 // output byte.
@@ -179,7 +180,7 @@ std::string update_request(long id, std::uint64_t handle,
   return req + "}}";
 }
 
-const char* kEngines[] = {"auto", "tableau", "revised"};
+const char* kLp1Solvers[] = {"auto", "simplex", "frank-wolfe"};
 const char* kPricings[] = {"auto", "dantzig", "devex"};
 
 TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
@@ -195,7 +196,7 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
     const core::Instance root =
         core::apply_delta(root_instance(trial, rng), core::InstanceDelta{});
     const std::string opts =
-        std::string("\"lp_engine\":\"") + kEngines[trial % 3] +
+        std::string("\"lp1_solver\":\"") + kLp1Solvers[trial % 3] +
         "\",\"lp_pricing\":\"" + kPricings[(trial / 3) % 3] + "\"";
 
     const auto H = [&](const std::string& line) { return engine.handle(line); };

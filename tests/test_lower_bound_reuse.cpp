@@ -173,11 +173,12 @@ TEST(LowerBoundReuse, ReuseKeysOnOptions) {
   const core::Instance inst = independent(64, 32, 9);
   api::SolverOptions fw;
   fw.lp1.solver = rounding::Lp1Options::Solver::FrankWolfe;
-  api::SolverOptions revised;
-  revised.lp1.engine = lp::SimplexEngine::Revised;
+  api::SolverOptions devex;
+  devex.lp1.pricing = lp::PricingRule::Devex;
+  devex.lp1.simplex_size_limit = 1 << 20;
   expect_reuse_identity(inst, "auto", fw);
-  expect_reuse_identity(inst, "auto", revised);
-  expect_reuse_identity(chains32(9), "auto", revised);
+  expect_reuse_identity(inst, "auto", devex);
+  expect_reuse_identity(chains32(9), "auto", devex);
 
   // A solver prepared under one set of options answers a bound under
   // another by solving fresh, never with its own value.

@@ -1,33 +1,77 @@
 // LP2 chains oracle (labelled `differential` in ctest): the default-path LP2
-// relaxation of make_chains(nc, 2, 5, 4) instances must finish on the engine
-// it started on under every pricing rule — no revised-engine abort re-solved
-// on the dense tableau — and every rule must reach the same fractional
-// optimum t*. From 32 chains up the Auto engine picks the revised simplex,
-// whose Devex path once priced off stale incremental reduced costs, took a
-// false phase-1 "unbounded" verdict and fell back on most instances. 16
-// chains stays on the tableau and anchors the comparison.
+// relaxation of make_chains(nc, 2, 5, 4) instances must solve to Optimal
+// under every pricing rule — never NumericalFailure, which the revised
+// engine's Devex path once hit on most 32+-chain instances when it priced
+// off stale incremental reduced costs — and every rule must reach the same
+// fractional optimum t*. On the 16-chain instances t* must also equal the
+// dense tableau oracle's objective (tests/lp_tableau_oracle.hpp).
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "api/registry.hpp"
 #include "core/generators.hpp"
 #include "lp/simplex.hpp"
-#include "obs/metrics.hpp"
+#include "lp_tableau_oracle.hpp"
 #include "rounding/lp2.hpp"
 #include "util/rng.hpp"
 
 namespace suu {
 namespace {
 
-TEST(Lp2ChainsDifferential, NoTableauFallbackAndRulesAgree) {
-  if (!obs::compiled_in) {
-    GTEST_SKIP() << "observability compiled out: fallbacks are uncounted";
+// LP2 (paper Section 4) over `chains`, written out independently of
+// rounding/lp2.cpp: min t s.t. mass >= 1 per job, x_ij <= d_j, d_j >= 1,
+// machine loads <= t, chain lengths <= t.
+lp::Problem lp2_program(const core::Instance& inst,
+                        const std::vector<std::vector<int>>& chains) {
+  lp::Problem p;
+  const int t = p.add_var(1.0);
+  std::vector<lp::Row> loads(static_cast<std::size_t>(inst.num_machines()));
+  std::vector<int> d(static_cast<std::size_t>(inst.num_jobs()), -1);
+  for (const auto& chain : chains) {
+    lp::Row len;
+    len.rel = lp::Rel::Le;
+    for (const int j : chain) {
+      const int dj = p.add_var(0.0);
+      d[static_cast<std::size_t>(j)] = dj;
+      len.terms.emplace_back(dj, 1.0);
+      lp::Row cover;
+      cover.rel = lp::Rel::Ge;
+      cover.rhs = 1.0;
+      for (int i = 0; i < inst.num_machines(); ++i) {
+        const double e = inst.ell_capped(i, j, 1.0);
+        if (e <= 1e-12) continue;
+        const int x = p.add_var(0.0);
+        cover.terms.emplace_back(x, e);
+        loads[static_cast<std::size_t>(i)].terms.emplace_back(x, 1.0);
+        lp::Row cap;
+        cap.rel = lp::Rel::Le;
+        cap.terms = {{x, 1.0}, {dj, -1.0}};
+        p.add_row(std::move(cap));
+      }
+      p.add_row(std::move(cover));
+      lp::Row dmin;
+      dmin.rel = lp::Rel::Ge;
+      dmin.rhs = 1.0;
+      dmin.terms = {{dj, 1.0}};
+      p.add_row(std::move(dmin));
+    }
+    len.terms.emplace_back(t, -1.0);
+    p.add_row(std::move(len));
   }
-  obs::Counter& fallbacks =
-      obs::Registry::global().counter("suu_lp_tableau_fallbacks_total");
+  for (lp::Row& load : loads) {
+    if (load.terms.empty()) continue;
+    load.rel = lp::Rel::Le;
+    load.terms.emplace_back(t, -1.0);
+    p.add_row(std::move(load));
+  }
+  return p;
+}
+
+TEST(Lp2ChainsDifferential, EveryRuleOptimalAndMatchesTheOracle) {
   const lp::PricingRule rules[] = {lp::PricingRule::Auto,
                                    lp::PricingRule::Dantzig,
                                    lp::PricingRule::Devex};
@@ -37,16 +81,23 @@ TEST(Lp2ChainsDifferential, NoTableauFallbackAndRulesAgree) {
       const core::Instance inst = core::make_chains(
           nc, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
       const auto chains = inst.dag().chains();
+      const lp::Problem program = lp2_program(inst, chains);
+      const std::string at = "chains=" + std::to_string(nc) +
+                             " seed=" + std::to_string(seed);
       double reference = 0.0;
       for (const lp::PricingRule rule : rules) {
-        const std::string ctx = "chains=" + std::to_string(nc) +
-                                " seed=" + std::to_string(seed) +
-                                " pricing=" + lp::to_string(rule);
-        const std::uint64_t before = fallbacks.value();
-        const rounding::Lp2Result res = rounding::solve_and_round_lp2(
-            inst, chains, lp::SimplexEngine::Auto, rule);
-        EXPECT_EQ(fallbacks.value() - before, 0U)
-            << ctx << ": the solve fell back to the tableau engine";
+        const std::string ctx = at + " pricing=" + lp::to_string(rule);
+        lp::SimplexOptions opt;
+        opt.pricing = rule;
+        const lp::Solution sol = lp::solve_simplex(program, opt);
+        ASSERT_EQ(sol.status, lp::Status::Optimal)
+            << ctx << ": " << lp::to_string(sol.status);
+        // The pipeline throws on anything but Optimal.
+        const rounding::Lp2Result res =
+            rounding::solve_and_round_lp2(inst, chains, rule);
+        EXPECT_NEAR(res.t_fractional, sol.objective,
+                    1e-9 * std::fabs(sol.objective))
+            << ctx;
         if (rule == rules[0]) {
           reference = res.t_fractional;
           continue;
@@ -55,14 +106,20 @@ TEST(Lp2ChainsDifferential, NoTableauFallbackAndRulesAgree) {
                     1e-9 * std::fabs(reference))
             << ctx;
       }
+      if (nc == 16) {
+        const lp::Solution ref = lp::oracle::solve_tableau(program);
+        ASSERT_EQ(ref.status, lp::Status::Optimal) << at;
+        EXPECT_NEAR(reference, ref.objective, 1e-9 * std::fabs(ref.objective))
+            << at << ": revised t* differs from the tableau oracle";
+      }
     }
   }
 }
 
 TEST(Lp2ChainsDifferential, FormerFalseUnboundedInstancesSolve) {
   // Two instances on which the revised engine's phase 2 once returned a
-  // false "unbounded" (a stale reduced cost with no leaving row) with no
-  // tableau fallback to catch it, failing the request: a 64-chain
+  // false "unbounded" (a stale reduced cost with no leaving row), failing
+  // the request: a 64-chain
   // instance in SUU-C's LP2 and a 256-job forest in the heavy-path LP2
   // lower bound. The seeds follow the instance-stream derivation of
   // perfbench's dag_solve workload, which had to exclude both classes.

@@ -1,11 +1,13 @@
-// Differential oracle for the simplex engines (labelled `differential` in
-// ctest): property-based random LP generation — LP1/LP2-shaped programs,
-// fully random mixed-relation programs, degenerate and near-singular
-// constructions — solved by BOTH the tableau and the revised engine, with
-// matching verdicts required and every claimed optimum re-checked against
-// the constraints directly. This suite is the merge gate for any future
-// solver rewrite: a numerically different core that silently changes a
-// verdict or an optimum fails here before it can corrupt an experiment.
+// Differential oracle for the simplex (labelled `differential` in ctest):
+// property-based random LP generation — LP1/LP2-shaped programs, fully
+// random mixed-relation programs, degenerate and near-singular
+// constructions — solved by libsuu's revised engine under every pricing
+// rule AND by the dense tableau oracle (tests/lp_tableau_oracle.hpp), with
+// matching verdicts required, zero NumericalFailure results, and every
+// claimed optimum re-checked against the constraints directly. This suite
+// is the merge gate for any future solver rewrite: a numerically different
+// core that silently changes a verdict or an optimum fails here before it
+// can corrupt an experiment.
 //
 // SUU_DIFFERENTIAL_INSTANCES scales the sweep (default 500; the nightly CI
 // job runs tens of thousands).
@@ -22,6 +24,7 @@
 #include "lp/basis.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "lp_tableau_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace suu::lp {
@@ -238,50 +241,49 @@ double problem_scale(const Problem& p) {
 
 TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
   const int total = instance_budget();
-  // Full cross of engine x pricing rule; the tableau under Dantzig (the
-  // historical, byte-recorded configuration) is the reference every other
-  // cell must match. Pricing changes the pivot path, never the verdict or
-  // the optimum — this is the oracle that enforces it.
+  // The tableau oracle under Dantzig is the reference; the oracle under
+  // Devex and the revised engine under every rule must match it. Pricing
+  // changes the pivot path, never the verdict or the optimum — this is the
+  // oracle that enforces it.
   struct Cell {
-    SimplexEngine engine;
+    bool oracle;  // dense tableau (tests/) instead of lp::solve_simplex
     PricingRule rule;
   };
   const Cell cells[] = {
-      {SimplexEngine::Tableau, PricingRule::Dantzig},
-      {SimplexEngine::Tableau, PricingRule::Devex},
-      {SimplexEngine::Revised, PricingRule::Dantzig},
-      {SimplexEngine::Revised, PricingRule::Devex},
+      {true, PricingRule::Dantzig},
+      {true, PricingRule::Devex},
+      {false, PricingRule::Dantzig},
+      {false, PricingRule::Devex},
+      {false, PricingRule::Auto},
+  };
+  auto solve = [](const Problem& p, const Cell& cell) {
+    SimplexOptions opt;
+    opt.pricing = cell.rule;
+    return cell.oracle ? oracle::solve_tableau(p, opt) : solve_simplex(p, opt);
   };
   int optimal = 0;
   int infeasible = 0;
   int unbounded = 0;
-  int fallbacks = 0;
+  int failures = 0;
   for (int i = 0; i < total; ++i) {
     util::Rng rng(0x5EED0000ULL + static_cast<std::uint64_t>(i));
     const Generated g = generate(rng, i);
     const std::string ctx =
         std::string("family=") + g.family + " i=" + std::to_string(i);
 
-    SimplexOptions ref_opt;
-    ref_opt.engine = cells[0].engine;
-    ref_opt.pricing = cells[0].rule;
-    const Solution st = solve_simplex(g.p, ref_opt);
+    const Solution st = solve(g.p, cells[0]);
     const double feas_tol = 1e-6 * problem_scale(g.p);
     for (std::size_t c = 1; c < std::size(cells); ++c) {
-      SimplexOptions opt;
-      opt.engine = cells[c].engine;
-      opt.pricing = cells[c].rule;
-      const Solution sr = solve_simplex(g.p, opt);
-      const std::string cctx = ctx + " engine=" + to_string(cells[c].engine) +
-                               " pricing=" + to_string(cells[c].rule);
-      // A Revised request that fell back re-solved with the tableau, which
-      // would make the engine comparison vacuous: every family, the
-      // degenerate and near-singular ones included, must finish on the
-      // engine it asked for.
-      if (cells[c].engine == SimplexEngine::Revised &&
-          sr.engine != SimplexEngine::Revised) {
-        ++fallbacks;
-        ADD_FAILURE() << cctx << ": fell back to the tableau engine";
+      const Solution sr = solve(g.p, cells[c]);
+      const std::string cctx =
+          ctx + (cells[c].oracle ? " oracle" : " revised") +
+          " pricing=" + to_string(cells[c].rule);
+      // Every family, the degenerate and near-singular ones included, must
+      // finish without a numerical failure: the engine has no fallback.
+      if (sr.status == Status::NumericalFailure) {
+        ++failures;
+        ADD_FAILURE() << cctx << ": numerical failure";
+        continue;
       }
       ASSERT_EQ(st.status, sr.status)
           << cctx << " reference=" << to_string(st.status)
@@ -304,26 +306,26 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
         ++unbounded;
         break;
       case Status::IterLimit:
+      case Status::NumericalFailure:
         break;
     }
     if (st.status != Status::Optimal) continue;
     EXPECT_LE(max_violation(g.p, st.x), feas_tol) << ctx;
   }
-  // The sweep must genuinely exercise every verdict — and the revised
-  // engine must genuinely be the one answering — or the generator has
+  // The sweep must genuinely exercise every verdict, or the generator has
   // rotted and the oracle is vacuous.
   EXPECT_GT(optimal, total / 4);
   EXPECT_GT(infeasible, 0);
   EXPECT_GT(unbounded, 0);
   std::cout << "[differential] " << total << " instances: " << optimal
             << " optimal, " << infeasible << " infeasible, " << unbounded
-            << " unbounded, " << fallbacks << " tableau fallbacks\n";
+            << " unbounded, " << failures << " numerical failures\n";
 }
 
 TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
   // A seed basis (SimplexOptions::seed_basis, what the LP1 crash basis
   // uses) must not change any optimum, and an optimal seed must skip
-  // phase 1 on the revised engine.
+  // phase 1.
   const int total = std::max(20, instance_budget() / 10);
   for (int i = 0; i < total; ++i) {
     util::Rng rng(0xCAFE0000ULL + static_cast<std::uint64_t>(i));
@@ -335,7 +337,6 @@ TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
     ASSERT_EQ(cold.status, Status::Optimal) << ctx;
 
     SimplexOptions opt;
-    opt.engine = SimplexEngine::Revised;
     opt.seed_basis = cold.basis;
     const Solution hot = solve_simplex(g.p, opt);
     ASSERT_EQ(hot.status, Status::Optimal) << ctx;
@@ -347,8 +348,8 @@ TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
   }
 }
 
-// Deterministic n=1024 LP1-shaped instance mirroring the BM_RevisedLp1
-// bench family (1024 jobs over 8 machines). Large enough that phase 1
+// Deterministic n=1024 LP1-shaped instance mirroring the BM_Lp1 bench
+// family (1024 jobs over 8 machines). Large enough that phase 1
 // dominates and the pricing rules genuinely diverge in path length.
 Problem gen_lp1_large(std::uint64_t seed, int n_jobs, int n_machines) {
   util::Rng rng(seed);
@@ -384,15 +385,13 @@ Problem gen_lp1_large(std::uint64_t seed, int n_jobs, int n_machines) {
 }
 
 TEST(LpDifferential, DevexPivotsNoWorseThanDantzigOnLargeLp1) {
-  // The regression this PR's pricing work must never lose: on the n=1024
-  // LP1 family — the regime the revised engine exists for — Devex takes no
-  // more pivots than Dantzig from a cold start. Both runs are fully
-  // deterministic (fixed seed, explicit engine and rule, no seed basis, no
-  // LP1 crash basis since this calls solve_simplex directly), so this is an
-  // exact pin, not a statistical one.
+  // The regression Devex pricing must never lose: on the n=1024 LP1
+  // family Devex takes no more pivots than Dantzig from a cold start. Both
+  // runs are fully deterministic (fixed seed, explicit rule, no seed basis,
+  // no LP1 crash basis since this calls solve_simplex directly), so this is
+  // an exact pin, not a statistical one.
   const Problem p = gen_lp1_large(0xB16'1024ULL, 1024, 8);
   SimplexOptions dantzig;
-  dantzig.engine = SimplexEngine::Revised;
   dantzig.pricing = PricingRule::Dantzig;
   SimplexOptions devex = dantzig;
   devex.pricing = PricingRule::Devex;
@@ -401,8 +400,6 @@ TEST(LpDifferential, DevexPivotsNoWorseThanDantzigOnLargeLp1) {
   const Solution sv = solve_simplex(p, devex);
   ASSERT_EQ(sd.status, Status::Optimal);
   ASSERT_EQ(sv.status, Status::Optimal);
-  ASSERT_EQ(sd.engine, SimplexEngine::Revised);
-  ASSERT_EQ(sv.engine, SimplexEngine::Revised);
   EXPECT_NEAR(sd.objective, sv.objective,
               1e-9 * (1.0 + std::fabs(sd.objective)));
   EXPECT_LE(sv.iterations, sd.iterations)

@@ -1,18 +1,23 @@
 // Unit tests for the pricing module (lp/pricing.hpp) and the hardened
 // SUU_LP_REFACTOR_INTERVAL parsing (lp/basis.hpp). The end-to-end pricing
-// guarantees — identical verdicts and optima across every rule on both
-// engines — live in test_lp_differential.cpp; this file pins the local
-// contracts: spelling parsers, Auto resolution, the Devex reference-weight
-// recurrence, and a small all-rules optimum check with exact expected
-// values.
+// guarantees — identical verdicts and optima across every rule, matching
+// the tableau oracle — live in test_lp_differential.cpp; this file pins the
+// local contracts: spelling parsers, per-class Auto resolution, the Devex
+// reference-weight recurrence, and a small all-rules optimum check with
+// exact expected values.
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/generators.hpp"
 #include "lp/basis.hpp"
 #include "lp/pricing.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "lp_tableau_oracle.hpp"
+#include "rounding/lp1.hpp"
+#include "util/rng.hpp"
 
 namespace suu::lp {
 namespace {
@@ -27,7 +32,7 @@ TEST(RefactorInterval, AcceptsBarePositiveDecimals) {
 TEST(RefactorInterval, RejectsEverythingElse) {
   // Each of these must fall back to the default, never clamp: a
   // misconfigured env var silently running with interval 1 (the old
-  // behaviour for "0" and negatives) tanks the revised engine.
+  // behaviour for "0" and negatives) tanks the simplex.
   const char* bad[] = {"",       "0",     "-5",        "abc",
                        "64abc",  "6 4",   " 64",       "64 ",
                        "1e3",    "+64",   "0x40",      "100001",
@@ -68,20 +73,60 @@ TEST(PricingRule_, SpellingsRoundTripThroughToString) {
   }
 }
 
-TEST(PricingRule_, AutoResolvesPerEngine) {
-  using pricing::resolve_pricing;
-  // Auto keeps the historical rule on the tableau (byte-recorded
-  // trajectories) and upgrades the revised engine to Devex.
-  EXPECT_EQ(resolve_pricing(PricingRule::Auto, SimplexEngine::Tableau),
-            PricingRule::Dantzig);
-  EXPECT_EQ(resolve_pricing(PricingRule::Auto, SimplexEngine::Revised),
-            PricingRule::Devex);
-  // Explicit rules pass through untouched on either engine.
-  for (const SimplexEngine e :
-       {SimplexEngine::Tableau, SimplexEngine::Revised}) {
-    EXPECT_EQ(resolve_pricing(PricingRule::Dantzig, e), PricingRule::Dantzig);
-    EXPECT_EQ(resolve_pricing(PricingRule::Devex, e), PricingRule::Devex);
+TEST(PricingRule_, AutoResolvesPerProgramClass) {
+  // Every pricing rule's pivot path is deterministic, so "Auto resolves to
+  // X" shows as Auto retracing X's path pivot for pivot.
+  util::Rng rng(7);
+  const core::Instance inst = core::make_independent(
+      48, 6, core::MachineModel::uniform(0.3, 0.95), rng);
+  std::vector<int> jobs;
+  for (int j = 0; j < inst.num_jobs(); ++j) jobs.push_back(j);
+  rounding::Lp1Options opt;
+  opt.solver = rounding::Lp1Options::Solver::Simplex;
+  auto lp1 = [&](PricingRule r) {
+    opt.pricing = r;
+    return rounding::solve_lp1(inst, jobs, 0.5, opt);
+  };
+  // LP1: Auto is Dantzig.
+  const rounding::Lp1Fractional lp1_auto = lp1(PricingRule::Auto);
+  const rounding::Lp1Fractional lp1_dantzig = lp1(PricingRule::Dantzig);
+  const rounding::Lp1Fractional lp1_devex = lp1(PricingRule::Devex);
+  EXPECT_EQ(lp1_auto.simplex_iterations, lp1_dantzig.simplex_iterations);
+  EXPECT_EQ(lp1_auto.t, lp1_dantzig.t);
+  EXPECT_NEAR(lp1_devex.t, lp1_dantzig.t, 1e-9 * lp1_dantzig.t);
+
+  // Every other program: Auto is Devex. A cold LP1-shaped program solved
+  // through lp::solve_simplex directly is "every other program" here.
+  Problem p;
+  const int t = p.add_var(1.0);
+  std::vector<Row> loads(6);
+  for (int j = 0; j < 40; ++j) {
+    Row cover;
+    cover.rel = Rel::Ge;
+    cover.rhs = 1.0;
+    for (int i = 0; i < 6; ++i) {
+      const int v = p.add_var(0.0);
+      cover.terms.emplace_back(v, 0.1 + rng.uniform01());
+      loads[static_cast<std::size_t>(i)].terms.emplace_back(v, 1.0);
+    }
+    p.add_row(std::move(cover));
   }
+  for (Row& load : loads) {
+    load.terms.emplace_back(t, -1.0);
+    load.rel = Rel::Le;
+    p.add_row(std::move(load));
+  }
+  SimplexOptions sopt;
+  const Solution s_auto = solve_simplex(p, sopt);
+  sopt.pricing = PricingRule::Devex;
+  const Solution s_devex = solve_simplex(p, sopt);
+  sopt.pricing = PricingRule::Dantzig;
+  const Solution s_dantzig = solve_simplex(p, sopt);
+  ASSERT_EQ(s_auto.status, Status::Optimal);
+  EXPECT_EQ(s_auto.iterations, s_devex.iterations);
+  EXPECT_EQ(s_auto.objective, s_devex.objective);
+  EXPECT_NE(s_devex.iterations, s_dantzig.iterations)
+      << "the rules must differ on this program, or the check is vacuous";
 }
 
 TEST(ReferenceWeights, ResetActivationAndScore) {
@@ -128,7 +173,7 @@ TEST(ReferenceWeights, LeavingWeightAndResetThreshold) {
   EXPECT_DOUBLE_EQ(w[0], 1.0);
 }
 
-TEST(Pricing, AllRulesReachTheSameOptimumOnBothEngines) {
+TEST(Pricing, AllRulesReachTheSameOptimumAsTheOracle) {
   // Tiny LP1-shaped program with a hand-checkable optimum: two jobs, two
   // machines, min t with unit covers and load rows — t* = 1 (one job per
   // machine at x = 1).
@@ -159,19 +204,16 @@ TEST(Pricing, AllRulesReachTheSameOptimumOnBothEngines) {
   l1.terms = {{x10, 1.0}, {x11, 1.0}, {t, -1.0}};
   p.add_row(std::move(l1));
 
-  for (const SimplexEngine e :
-       {SimplexEngine::Tableau, SimplexEngine::Revised}) {
-    for (const PricingRule r :
-         {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
-      SimplexOptions opt;
-      opt.engine = e;
-      opt.pricing = r;
-      const Solution s = solve_simplex(p, opt);
-      ASSERT_EQ(s.status, Status::Optimal)
-          << to_string(e) << '/' << to_string(r);
-      EXPECT_NEAR(s.objective, 1.0, 1e-9)
-          << to_string(e) << '/' << to_string(r);
-    }
+  for (const PricingRule r :
+       {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
+    SimplexOptions opt;
+    opt.pricing = r;
+    const Solution s = solve_simplex(p, opt);
+    ASSERT_EQ(s.status, Status::Optimal) << to_string(r);
+    EXPECT_NEAR(s.objective, 1.0, 1e-9) << to_string(r);
+    const Solution ref = oracle::solve_tableau(p, opt);
+    ASSERT_EQ(ref.status, Status::Optimal) << "oracle " << to_string(r);
+    EXPECT_NEAR(ref.objective, 1.0, 1e-9) << "oracle " << to_string(r);
   }
 }
 

@@ -164,19 +164,19 @@ TEST(ServiceProtocol, ParamValidation) {
   EXPECT_THROW(parse_solve_params(Json::parse(
                    R"({"instance":"x","options":{"unknown_opt":1}})")),
                ProtocolError);
-  // The LP engine knob round-trips through the wire and rejects typos.
+  // The LP1 solver knob round-trips through the wire and rejects typos.
+  EXPECT_EQ(parse_solve_params(
+                Json::parse(R"({"instance":"x",
+                                "options":{"lp1_solver":"frank-wolfe"}})"))
+                .options.lp1.solver,
+            rounding::Lp1Options::Solver::FrankWolfe);
   EXPECT_EQ(parse_solve_params(
                 Json::parse(
-                    R"({"instance":"x","options":{"lp_engine":"revised"}})"))
-                .options.lp1.engine,
-            lp::SimplexEngine::Revised);
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(
-                    R"({"instance":"x","options":{"lp_engine":"tableau"}})"))
-                .options.lp1.engine,
-            lp::SimplexEngine::Tableau);
+                    R"({"instance":"x","options":{"lp1_solver":"simplex"}})"))
+                .options.lp1.solver,
+            rounding::Lp1Options::Solver::Simplex);
   EXPECT_THROW(parse_solve_params(Json::parse(
-                   R"({"instance":"x","options":{"lp_engine":"simplex"}})")),
+                   R"({"instance":"x","options":{"lp1_solver":"tableau"}})")),
                ProtocolError);
   // Same contract for the pricing knob.
   EXPECT_EQ(parse_solve_params(
@@ -185,7 +185,8 @@ TEST(ServiceProtocol, ParamValidation) {
                 .options.lp1.pricing,
             lp::PricingRule::Devex);
   // Removed inputs are rejected with a typed bad_params, never ignored:
-  // the warm_start option and the steepest pricing rule no longer exist.
+  // the warm_start option, the steepest pricing rule and the lp_engine
+  // option (one simplex engine remains) no longer exist.
   const auto bad_params_message = [](const char* params) {
     try {
       parse_solve_params(Json::parse(params));
@@ -200,6 +201,15 @@ TEST(ServiceProtocol, ParamValidation) {
                 R"({"instance":"x","options":{"warm_start":true}})")
                 .find("unknown key 'warm_start'"),
             std::string::npos);
+  for (const char* engine : {"auto", "tableau", "revised", "bogus"}) {
+    const std::string params =
+        std::string(R"({"instance":"x","options":{"lp_engine":")") + engine +
+        R"("}})";
+    EXPECT_NE(bad_params_message(params.c_str())
+                  .find("unknown key 'lp_engine'"),
+              std::string::npos)
+        << params;
+  }
   EXPECT_NE(bad_params_message(
                 R"({"instance":"x","options":{"lp_pricing":"steepest"}})")
                 .find("auto|dantzig|devex"),

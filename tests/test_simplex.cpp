@@ -8,6 +8,7 @@
 #include "lp/basis.hpp"
 
 #include "core/generators.hpp"
+#include "lp_tableau_oracle.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
 #include "util/rng.hpp"
@@ -116,7 +117,7 @@ TEST(Simplex, BealeCycleTerminates) {
   // Beale's classic example: Dantzig pricing with naive tie-breaking
   // cycles forever through degenerate bases at the origin. The Bland
   // stall guard must break the cycle and reach the optimum -1/20 at
-  // x = (1/25, 0, 1, 0).
+  // x = (1/25, 0, 1, 0) under every pricing rule, as the oracle does.
   Problem p;
   const int x1 = p.add_var(-0.75);
   const int x2 = p.add_var(150.0);
@@ -125,11 +126,17 @@ TEST(Simplex, BealeCycleTerminates) {
   p.add_row(row({{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, Rel::Le, 0));
   p.add_row(row({{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Rel::Le, 0));
   p.add_row(row({{x3, 1}}, Rel::Le, 1));
-  const Solution s = solve_simplex(p);
-  ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_NEAR(s.objective, -0.05, 1e-8);
-  EXPECT_NEAR(s.x[x1], 0.04, 1e-8);
-  EXPECT_NEAR(s.x[x3], 1.0, 1e-8);
+  for (const PricingRule r :
+       {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
+    SimplexOptions opt;
+    opt.pricing = r;
+    const Solution s = solve_simplex(p, opt);
+    ASSERT_EQ(s.status, Status::Optimal) << to_string(r);
+    EXPECT_NEAR(s.objective, -0.05, 1e-8) << to_string(r);
+    EXPECT_NEAR(s.x[x1], 0.04, 1e-8) << to_string(r);
+    EXPECT_NEAR(s.x[x3], 1.0, 1e-8) << to_string(r);
+  }
+  EXPECT_NEAR(oracle::solve_tableau(p).objective, -0.05, 1e-8);
 }
 
 TEST(Simplex, TinyPivotsRejected) {
@@ -181,10 +188,9 @@ TEST(Simplex, DuplicateTermsAreSummed) {
   EXPECT_NEAR(s.x[x], 2.0, 1e-8);
 }
 
-// ---- Golden objectives: recorded from the seed (pre-flat-arena) solver.
-// The arena/pricing rewrite must reproduce them exactly — pricing picks the
-// lexicographic (cost, index) minimum, which is what the full Dantzig scan
-// returned, so the whole pivot trajectory is preserved bit for bit.
+// ---- Golden objectives: recorded from the dense-tableau solver that is
+// now the differential oracle. LP1 runs from its crash basis under Dantzig
+// and LP2 cold under Devex; both must land on the recorded optimum.
 
 TEST(SimplexGolden, Lp1InstanceObjective) {
   util::Rng rng(42);
@@ -198,6 +204,7 @@ TEST(SimplexGolden, Lp1InstanceObjective) {
       rounding::solve_lp1(inst, jobs, 0.5, opt);
   EXPECT_NEAR(frac.t, 3.186421848442467, 1e-9);
   EXPECT_GT(frac.simplex_iterations, 0);
+  EXPECT_EQ(frac.simplex_phase1_iterations, 0) << "crash basis not installed";
 }
 
 TEST(SimplexGolden, Lp2InstanceObjective) {
@@ -213,8 +220,7 @@ TEST(SimplexGolden, Lp2InstanceObjective) {
 // (The Beale golden lives above: Simplex.BealeCycleTerminates pins the
 // optimum -0.05 at x = (1/25, 0, 1, 0).)
 
-// ---- A small LP whose rhs can be perturbed (revised-engine seed tests and
-// the Auto size check below).
+// ---- A small LP whose rhs can be perturbed (seed-basis tests).
 
 Problem perturbable_lp(double rhs1) {
   // min x + 2y s.t. x + y >= rhs1, x + 3y >= 4, x + 4y <= 12.
@@ -227,111 +233,82 @@ Problem perturbable_lp(double rhs1) {
   return p;
 }
 
-// ---- Revised engine: the factorized core must reproduce every verdict and
-// optimum the tableau produces (the differential suite sweeps this at scale;
-// these pin the basics and the goldens).
-
-SimplexOptions revised_opt() {
-  SimplexOptions opt;
-  opt.engine = SimplexEngine::Revised;
-  return opt;
-}
-
-TEST(RevisedSimplex, TextbookMaximization) {
-  Problem p;
-  const int x = p.add_var(-3.0);
-  const int y = p.add_var(-5.0);
-  p.add_row(row({{x, 1}}, Rel::Le, 4));
-  p.add_row(row({{y, 2}}, Rel::Le, 12));
-  p.add_row(row({{x, 3}, {y, 2}}, Rel::Le, 18));
-  const Solution s = solve_simplex(p, revised_opt());
-  ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_NEAR(s.objective, -36.0, 1e-8);
-  EXPECT_NEAR(s.x[x], 2.0, 1e-8);
-  EXPECT_NEAR(s.x[y], 6.0, 1e-8);
-}
-
-TEST(RevisedSimplex, GeAndEqRowsNeedPhase1) {
+TEST(Simplex, GeAndEqRowsNeedPhase1) {
   Problem p;
   const int x = p.add_var(1.0);
   const int y = p.add_var(1.0);
   p.add_row(row({{x, 1}, {y, 1}}, Rel::Ge, 2));
   p.add_row(row({{x, 1}, {y, -1}}, Rel::Eq, 1));
-  const Solution s = solve_simplex(p, revised_opt());
+  const Solution s = solve_simplex(p);
   ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_GT(s.phase1_iterations, 0);
   EXPECT_NEAR(s.objective, 2.0, 1e-8);
   EXPECT_NEAR(s.x[x], 1.5, 1e-8);
   EXPECT_NEAR(s.x[y], 0.5, 1e-8);
 }
 
-TEST(RevisedSimplex, VerdictsMatchTableau) {
+// ---- The tableau oracle (tests/lp_tableau_oracle.hpp) on the small cases:
+// the differential suite sweeps this at scale; these pin the basics.
+
+TEST(SimplexVsOracle, VerdictsAndObjectivesMatch) {
+  std::vector<Problem> cases;
   {
-    Problem p;
+    Problem p;  // infeasible
     const int x = p.add_var(1.0);
     p.add_row(row({{x, 1}}, Rel::Le, 1));
     p.add_row(row({{x, 1}}, Rel::Ge, 2));
-    EXPECT_EQ(solve_simplex(p, revised_opt()).status, Status::Infeasible);
+    cases.push_back(std::move(p));
   }
   {
-    Problem p;
+    Problem p;  // unbounded
     const int x = p.add_var(-1.0);
     const int y = p.add_var(0.0);
     p.add_row(row({{x, 1}, {y, -1}}, Rel::Le, 1));
-    EXPECT_EQ(solve_simplex(p, revised_opt()).status, Status::Unbounded);
+    cases.push_back(std::move(p));
+  }
+  {
+    Problem p;  // textbook maximization
+    const int x = p.add_var(-3.0);
+    const int y = p.add_var(-5.0);
+    p.add_row(row({{x, 1}}, Rel::Le, 4));
+    p.add_row(row({{y, 2}}, Rel::Le, 12));
+    p.add_row(row({{x, 3}, {y, 2}}, Rel::Le, 18));
+    cases.push_back(std::move(p));
+  }
+  cases.push_back(perturbable_lp(3.0));
+  cases.push_back(perturbable_lp(11.0));
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const Solution ref = oracle::solve_tableau(cases[c]);
+    const Solution s = solve_simplex(cases[c]);
+    ASSERT_EQ(s.status, ref.status) << "case " << c;
+    if (ref.status == Status::Optimal) {
+      EXPECT_NEAR(s.objective, ref.objective, 1e-9) << "case " << c;
+    }
   }
 }
 
-TEST(RevisedSimplex, BealeCycleTerminates) {
-  Problem p;
-  const int x1 = p.add_var(-0.75);
-  const int x2 = p.add_var(150.0);
-  const int x3 = p.add_var(-0.02);
-  const int x4 = p.add_var(6.0);
-  p.add_row(row({{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, Rel::Le, 0));
-  p.add_row(row({{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Rel::Le, 0));
-  p.add_row(row({{x3, 1}}, Rel::Le, 1));
-  const Solution s = solve_simplex(p, revised_opt());
-  ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_NEAR(s.objective, -0.05, 1e-8);
+TEST(SimplexVsOracle, NumericalFailureHasItsOwnSpelling) {
+  // The typed verdict LP1/LP2 callers surface as an error.
+  EXPECT_EQ(to_string(Status::NumericalFailure), "numerical-failure");
+  for (const Status st : {Status::Optimal, Status::Infeasible,
+                          Status::Unbounded, Status::IterLimit}) {
+    EXPECT_NE(to_string(st), to_string(Status::NumericalFailure));
+  }
 }
 
-TEST(RevisedSimplexGolden, Lp1InstanceObjectiveMatchesTableau) {
-  util::Rng rng(42);
-  const core::Instance inst = core::make_independent(
-      12, 4, core::MachineModel::uniform(0.3, 0.95), rng);
-  std::vector<int> jobs;
-  for (int j = 0; j < inst.num_jobs(); ++j) jobs.push_back(j);
-  rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  opt.engine = lp::SimplexEngine::Revised;
-  const rounding::Lp1Fractional frac =
-      rounding::solve_lp1(inst, jobs, 0.5, opt);
-  EXPECT_NEAR(frac.t, 3.186421848442467, 1e-9);
-}
+// ---- Seed basis (SimplexOptions::seed_basis; the LP1 crash basis is its
+// one production caller).
 
-TEST(RevisedSimplexGolden, Lp2InstanceObjectiveMatchesTableau) {
-  util::Rng rng(99);
-  const core::Instance inst = core::make_chains(
-      5, 2, 4, 3, core::MachineModel::uniform(0.3, 0.9), rng);
-  const rounding::Lp2Result res = rounding::solve_and_round_lp2(
-      inst, inst.dag().chains(), lp::SimplexEngine::Revised);
-  EXPECT_NEAR(res.t_fractional, 5.296096594137738, 1e-9);
-}
-
-// ---- Revised-engine seed basis (SimplexOptions::seed_basis; the LP1 crash
-// basis is its one production caller).
-
-TEST(RevisedSimplexSeed, RepeatSolveSkipsPhase1) {
+TEST(SimplexSeed, RepeatSolveSkipsPhase1) {
   const Problem p = perturbable_lp(3.0);
-  const Solution cold = solve_simplex(p, revised_opt());
+  const Solution cold = solve_simplex(p);
   ASSERT_EQ(cold.status, Status::Optimal);
   ASSERT_FALSE(cold.basis.empty());
   EXPECT_GT(cold.phase1_iterations, 0);
-  SimplexOptions opt = revised_opt();
+  SimplexOptions opt;
   opt.seed_basis = cold.basis;
   const Solution hot = solve_simplex(p, opt);
   ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_EQ(hot.engine, SimplexEngine::Revised);
   EXPECT_EQ(hot.phase1_iterations, 0);
   EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
   for (std::size_t i = 0; i < cold.x.size(); ++i) {
@@ -339,15 +316,13 @@ TEST(RevisedSimplexSeed, RepeatSolveSkipsPhase1) {
   }
 }
 
-TEST(RevisedSimplexSeed, TableauBasisSeedsRevised) {
-  // Both engines number columns through the same standard form, so a
-  // tableau-recorded basis is a valid revised seed.
+TEST(SimplexSeed, OracleBasisIsAValidSeed) {
+  // The oracle numbers columns through the same standard form, so a
+  // tableau-recorded basis is a valid seed.
   const Problem p = perturbable_lp(3.0);
-  SimplexOptions tab_opt;
-  tab_opt.engine = SimplexEngine::Tableau;
-  const Solution cold = solve_simplex(p, tab_opt);
+  const Solution cold = oracle::solve_tableau(p);
   ASSERT_EQ(cold.status, Status::Optimal);
-  SimplexOptions opt = revised_opt();
+  SimplexOptions opt;
   opt.seed_basis = cold.basis;
   const Solution hot = solve_simplex(p, opt);
   ASSERT_EQ(hot.status, Status::Optimal);
@@ -355,15 +330,14 @@ TEST(RevisedSimplexSeed, TableauBasisSeedsRevised) {
   EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
 }
 
-TEST(RevisedSimplexSeed, MismatchedSeedFallsBackCold) {
+TEST(SimplexSeed, MismatchedSeedFallsBackCold) {
   const Problem p = perturbable_lp(3.0);
-  SimplexOptions opt = revised_opt();
+  SimplexOptions opt;
   opt.seed_basis = {0, 1, 2, 3, 4, 5, 6};  // wrong dimensions for this program
   const Solution s = solve_simplex(p, opt);
   ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_EQ(s.engine, SimplexEngine::Revised);
   EXPECT_GT(s.phase1_iterations, 0) << "a rejected seed must run phase 1";
-  EXPECT_NEAR(s.objective, solve_simplex(p, revised_opt()).objective, 1e-9);
+  EXPECT_NEAR(s.objective, solve_simplex(p).objective, 1e-9);
   // An artificial column is never an acceptable seed column either.
   const StandardForm sf = build_standard_form(p);
   ASSERT_LT(sf.art_begin, sf.n_total);
@@ -374,32 +348,23 @@ TEST(RevisedSimplexSeed, MismatchedSeedFallsBackCold) {
   EXPECT_NEAR(art.objective, s.objective, 1e-9);
 }
 
-TEST(RevisedSimplexSeed, InfeasibleSeedVertexRejected) {
+TEST(SimplexSeed, InfeasibleSeedVertexRejected) {
   // The optimal basis at rhs1 = 3 is primal infeasible once rhs1 jumps to
   // 11, so the seed must be rejected, phase 1 must run, and the optimum
   // must still match a cold solve.
-  const Solution seed = solve_simplex(perturbable_lp(3.0), revised_opt());
+  const Solution seed = solve_simplex(perturbable_lp(3.0));
   ASSERT_EQ(seed.status, Status::Optimal);
   const Problem jumped = perturbable_lp(11.0);
-  SimplexOptions opt = revised_opt();
+  SimplexOptions opt;
   opt.seed_basis = seed.basis;
   const Solution hot = solve_simplex(jumped, opt);
-  const Solution cold = solve_simplex(jumped, revised_opt());
+  const Solution cold = solve_simplex(jumped);
   ASSERT_EQ(hot.status, Status::Optimal);
   ASSERT_EQ(cold.status, Status::Optimal);
   // Accepting the seed would start phase 2 from an infeasible vertex, which
-  // fails verification and surfaces as a re-solve on the tableau.
-  EXPECT_EQ(hot.engine, SimplexEngine::Revised);
+  // fails verification and surfaces as NumericalFailure.
   EXPECT_GT(hot.phase1_iterations, 0) << "infeasible seed was accepted";
   EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
-}
-
-TEST(RevisedSimplex, AutoSwitchesOnSize) {
-  // Below the cell threshold Auto must keep the tableau trajectory (these
-  // sizes are the byte-recorded experiment regime).
-  const Problem small = perturbable_lp(3.0);
-  const StandardForm sf = build_standard_form(small);
-  EXPECT_LT(static_cast<std::int64_t>(sf.m) * sf.n_total, kRevisedAutoCells);
 }
 
 TEST(StandardFormBuild, MatchesTableauNormalization) {

@@ -5,7 +5,7 @@ Usage:
     compare_bench.py BASELINE CURRENT --bench NAME [--bench NAME ...]
                      [--max-ratio 1.25] [--counter pivots --counter-ratio 1.05]
 
-For every --bench NAME (exact benchmark name, e.g. "BM_SimplexLp1/1024"),
+For every --bench NAME (exact benchmark name, e.g. "BM_Lp1/1024"),
 the current run's real_time must be at most --max-ratio times the baseline's
 real_time. When --counter is given, the same check runs on that exported
 counter with its own ratio — counters such as "pivots" are deterministic per
