@@ -7,6 +7,8 @@
 //     gap stay small.
 #include "bench_common.hpp"
 
+#include <limits>
+
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
 
@@ -50,14 +52,13 @@ int main(int argc, char** argv) {
       {"identical", 64, 8, 2.0, core::MachineModel::identical(0.7)},
   };
   for (const auto& c : cases) {
-    for (const auto solver : {rounding::Lp1Options::Solver::Simplex,
-                              rounding::Lp1Options::Solver::FrankWolfe}) {
+    for (const bool simplex : {true, false}) {
       for (const bool trim : {true, false}) {
         util::Rng rng(seed + static_cast<std::uint64_t>(c.n));
         core::Instance inst = core::make_independent(c.n, c.m, c.model, rng);
         const auto jobs = all_jobs(inst);
         rounding::Lp1Options opt;
-        opt.solver = solver;
+        opt.simplex_size_limit = simplex ? std::numeric_limits<int>::max() : 0;
         const rounding::Lp1Fractional frac =
             rounding::solve_lp1(inst, jobs, c.L, opt);
         const sched::IntegralAssignment x =
@@ -68,9 +69,7 @@ int main(int argc, char** argv) {
         }
         t1.add_row({c.family, std::to_string(c.n), std::to_string(c.m),
                     util::fmt(c.L, 1),
-                    solver == rounding::Lp1Options::Solver::Simplex
-                        ? "simplex"
-                        : "frank-wolfe",
+                    simplex ? "simplex" : "frank-wolfe",
                     trim ? "on" : "off",
                     util::fmt(static_cast<double>(x.max_load()) / frac.t, 2),
                     util::fmt(min_mass / c.L, 2)});

@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,26 +46,25 @@ std::vector<int> all_jobs(int n) {
   return v;
 }
 
-// LP1(J, 1/2) through the default simplex path: the revised engine from
-// the greedy crash basis, Dantzig pricing. "pivots" counts priced
+// LP1(J, 1/2) simplex telemetry per solve. "pivots" counts priced
 // iterations and "p1_pivots" the phase-1 share (0 whenever the crash basis
 // installs); "ftran_fill" reports the average fraction of the rows an
 // FTRAN result actually occupied — the sparse eta storage only pays off
 // while this stays well below 1, so a storage regression is visible here
 // even when pivot counts hold steady.
-void run_lp1(benchmark::State& state, const core::Instance& inst,
-             const rounding::Lp1Options& opt) {
-  const auto jobs = all_jobs(inst.num_jobs());
+struct Lp1Tally {
   std::int64_t pivots = 0, p1 = 0, ftran_calls = 0, ftran_nnz = 0;
-  for (auto _ : state) {
-    const rounding::Lp1Fractional frac =
-        rounding::solve_lp1(inst, jobs, 0.5, opt);
-    pivots += frac.simplex_iterations;
-    p1 += frac.simplex_phase1_iterations;
-    ftran_calls += frac.ftran_calls;
-    ftran_nnz += frac.ftran_nnz;
-    benchmark::DoNotOptimize(frac.t);
+  void add(int it, int p1_it, std::int64_t calls, std::int64_t nnz) {
+    pivots += it;
+    p1 += p1_it;
+    ftran_calls += calls;
+    ftran_nnz += nnz;
   }
+  void report(benchmark::State& state, const core::Instance& inst) const;
+};
+
+void Lp1Tally::report(benchmark::State& state,
+                      const core::Instance& inst) const {
   const auto iters = static_cast<double>(state.iterations());
   state.counters["pivots"] =
       benchmark::Counter(static_cast<double>(pivots) / iters);
@@ -80,16 +80,29 @@ void run_lp1(benchmark::State& state, const core::Instance& inst,
                       : 0.0);
 }
 
-rounding::Lp1Options simplex_lp1(lp::PricingRule rule) {
-  rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  opt.pricing = rule;
-  return opt;
+// LP1(J, 1/2) through solve_lp1 under `opt`.
+void run_lp1(benchmark::State& state, const core::Instance& inst,
+             const rounding::Lp1Options& opt) {
+  const auto jobs = all_jobs(inst.num_jobs());
+  Lp1Tally tally;
+  for (auto _ : state) {
+    const rounding::Lp1Fractional frac =
+        rounding::solve_lp1(inst, jobs, 0.5, opt);
+    tally.add(frac.simplex_iterations, frac.simplex_phase1_iterations,
+              frac.ftran_calls, frac.ftran_nnz);
+    benchmark::DoNotOptimize(frac.t);
+  }
+  tally.report(state, inst);
 }
 
+// The LP1 simplex path at every size (the limit forces it past the
+// 4000-cell cutover): the revised engine from the greedy crash basis,
+// Dantzig pricing.
 void BM_Lp1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  run_lp1(state, bench_instance(n, 8, 11), simplex_lp1(lp::PricingRule::Auto));
+  rounding::Lp1Options opt;
+  opt.simplex_size_limit = std::numeric_limits<int>::max();
+  run_lp1(state, bench_instance(n, 8, 11), opt);
   state.SetComplexityN(n);
 }
 BENCHMARK(BM_Lp1)
@@ -110,11 +123,25 @@ void lp1_indep_median(benchmark::State& state) {
 }
 BENCHMARK(lp1_indep_median)->Name("BM_Lp1/64x32");
 
-// The pricing ablation behind "LP1 Auto resolves to Dantzig": the same LP1
-// instances with the entering-variable rule forced per benchmark.
+// The pricing ablation behind LP1's fixed Dantzig rule: BM_Lp1's program
+// and crash basis (rounding::build_lp1_program) solved with the
+// entering-variable rule set per benchmark.
 void lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
   const int n = static_cast<int>(state.range(0));
-  run_lp1(state, bench_instance(n, 8, 11), simplex_lp1(rule));
+  const core::Instance inst = bench_instance(n, 8, 11);
+  const auto jobs = all_jobs(n);
+  Lp1Tally tally;
+  for (auto _ : state) {
+    rounding::Lp1Program prog = rounding::build_lp1_program(inst, jobs, 0.5);
+    lp::SimplexOptions opt;
+    opt.seed_basis = std::move(prog.crash_basis);
+    opt.pricing = rule;
+    const lp::Solution sol = lp::solve_simplex(prog.problem, opt);
+    tally.add(sol.iterations, sol.phase1_iterations, sol.ftran_calls,
+              sol.ftran_nnz);
+    benchmark::DoNotOptimize(sol.objective);
+  }
+  tally.report(state, inst);
 }
 BENCHMARK_CAPTURE(lp1_pricing, dantzig, lp::PricingRule::Dantzig)
     ->Name("BM_Lp1Pricing/dantzig")
@@ -130,7 +157,7 @@ void BM_FrankWolfeLp1(benchmark::State& state) {
   core::Instance inst = bench_instance(n, 8, 12);
   const auto jobs = all_jobs(n);
   rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::FrankWolfe;
+  opt.simplex_size_limit = 0;  // Frank–Wolfe at every size
   for (auto _ : state) {
     benchmark::DoNotOptimize(rounding::solve_lp1(inst, jobs, 0.5, opt));
   }
@@ -154,7 +181,7 @@ void BM_RoundLp1(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundLp1)->Arg(16)->Arg(64)->Arg(256);
 
-// The default LP2 path (revised engine, Auto pricing = Devex) plus the
+// The default LP2 path (revised engine, Devex pricing) plus the
 // Lemma 6 rounding. A numerical failure makes solve_and_round_lp2 throw,
 // which aborts the whole bench run.
 void BM_Lp2ChainsPipeline(benchmark::State& state) {

@@ -29,11 +29,12 @@ LowerBound lower_bound_chains(const core::Instance& inst,
                               const Relaxations* known) {
   LowerBound lb = lower_bound_independent(inst, opt, known);
   double lp2 = 0.0;
-  if (known != nullptr && known->lp2 && known->solved_for(inst, opt) &&
+  if (known != nullptr && known->lp2 &&
+      known->fingerprint == inst.fingerprint() &&
       known->lp2_chains == chains) {
     lp2 = *known->lp2;
   } else {
-    lp2 = rounding::solve_and_round_lp2(inst, chains, opt.pricing).t_fractional;
+    lp2 = rounding::solve_and_round_lp2(inst, chains).t_fractional;
   }
   lb.lp2_half = lp2 / 2.0;
   lb.value = std::max(lb.value, lb.lp2_half);

@@ -36,8 +36,8 @@ struct LowerBound {
 };
 
 /// Relaxation optima already solved for one instance, each tagged with the
-/// program it came from. Both programs were solved under `opt` (LP2 reads
-/// its pricing rule from it).
+/// program it came from: LP1 by `opt`, LP2 (which takes no options) by
+/// `lp2_chains`.
 struct Relaxations {
   std::uint64_t fingerprint = 0;  ///< core::Instance::fingerprint()
   rounding::Lp1Options opt;
@@ -48,7 +48,7 @@ struct Relaxations {
   std::optional<double> lp2;
   std::vector<std::vector<int>> lp2_chains;
 
-  /// True when these values were solved for `inst` under `o`.
+  /// True when lp1_all_half was solved for `inst` under `o`.
   bool solved_for(const core::Instance& inst,
                   const rounding::Lp1Options& o) const {
     return fingerprint == inst.fingerprint() && opt == o;
@@ -62,7 +62,8 @@ LowerBound lower_bound_independent(const core::Instance& inst,
                                    const Relaxations* known = nullptr);
 
 /// Lemma 1 + Lemma 5 bounds for an instance with the given disjoint chains.
-/// Reuses known->lp2 only when known->lp2_chains equals `chains`.
+/// Reuses known->lp2 when it was solved for `inst` and known->lp2_chains
+/// equals `chains`, whatever `opt` says.
 LowerBound lower_bound_chains(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains,
                               const rounding::Lp1Options& opt = {},

@@ -11,9 +11,9 @@ SuuCPolicy::SuuCPolicy(Config cfg) : cfg_(std::move(cfg)) {}
 
 std::shared_ptr<const rounding::Lp2Result> SuuCPolicy::precompute(
     const core::Instance& inst,
-    const std::vector<std::vector<int>>& chains, lp::PricingRule pricing) {
+    const std::vector<std::vector<int>>& chains) {
   return std::make_shared<const rounding::Lp2Result>(
-      rounding::solve_and_round_lp2(inst, chains, pricing));
+      rounding::solve_and_round_lp2(inst, chains));
 }
 
 void SuuCPolicy::reset(const core::Instance& inst, util::Rng rng) {
@@ -27,9 +27,7 @@ void SuuCPolicy::reset(const core::Instance& inst, util::Rng rng) {
   // ---- Step 1: LP2 + Lemma 6 rounding (shared across replications when
   // the caller precomputed it).
   std::shared_ptr<const rounding::Lp2Result> lp2_ptr = cfg_.lp2;
-  if (!lp2_ptr) {
-    lp2_ptr = precompute(inst, chain_list, cfg_.lp1.pricing);
-  }
+  if (!lp2_ptr) lp2_ptr = precompute(inst, chain_list);
   const rounding::Lp2Result& lp2 = *lp2_ptr;
   SUU_CHECK_MSG(lp2.assignment.num_jobs() == inst.num_jobs() &&
                     lp2.assignment.num_machines() == inst.num_machines(),

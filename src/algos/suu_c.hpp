@@ -55,12 +55,10 @@ class SuuCPolicy : public sim::Policy {
   SuuCPolicy() : SuuCPolicy(Config{}) {}
   explicit SuuCPolicy(Config cfg);
 
-  /// Solve LP2 + Lemma 6 once for sharing across replications. `pricing`
-  /// picks the entering-variable rule — see rounding::solve_and_round_lp2.
+  /// Solve LP2 + Lemma 6 once for sharing across replications.
   static std::shared_ptr<const rounding::Lp2Result> precompute(
       const core::Instance& inst,
-      const std::vector<std::vector<int>>& chains,
-      lp::PricingRule pricing = lp::PricingRule::Auto);
+      const std::vector<std::vector<int>>& chains);
   std::string name() const override { return "suu-c"; }
   void reset(const core::Instance& inst, util::Rng rng) override;
   sched::Assignment decide(const sim::ExecState& state) override;

@@ -11,11 +11,11 @@ SuuTPolicy::SuuTPolicy(SuuCPolicy::Config cfg,
     : cfg_(std::move(cfg)), cache_(std::move(cache)) {}
 
 std::shared_ptr<const SuuTPolicy::BlockCache> SuuTPolicy::precompute(
-    const core::Instance& inst, lp::PricingRule pricing) {
+    const core::Instance& inst) {
   auto cache = std::make_shared<BlockCache>();
   cache->decomp = chains::decompose_forest(inst.dag());
   for (const auto& block : cache->decomp.blocks) {
-    cache->lp2.push_back(SuuCPolicy::precompute(inst, block, pricing));
+    cache->lp2.push_back(SuuCPolicy::precompute(inst, block));
   }
   return cache;
 }

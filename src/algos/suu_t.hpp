@@ -32,11 +32,9 @@ class SuuTPolicy : public sim::Policy {
   sched::Assignment decide(const sim::ExecState& state) override;
 
   /// Deterministic per-instance work: heavy-path decomposition plus one
-  /// cold LP2 solve+round per block. `pricing` picks the
-  /// entering-variable rule, per block.
+  /// cold LP2 solve+round per block.
   static std::shared_ptr<const BlockCache> precompute(
-      const core::Instance& inst,
-      lp::PricingRule pricing = lp::PricingRule::Auto);
+      const core::Instance& inst);
 
   int num_blocks() const noexcept { return decomp_.num_blocks(); }
   int current_block() const noexcept { return block_; }

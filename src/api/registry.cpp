@@ -105,8 +105,8 @@ void SolverRegistry::register_builtins(SolverRegistry& r) {
                 if (opt.share_precompute) {
                   values = relaxations_for(inst, opt);
                   values->lp2_chains = inst.dag().chains();
-                  cfg.lp2 = algos::SuuCPolicy::precompute(
-                      inst, values->lp2_chains, opt.lp1.pricing);
+                  cfg.lp2 =
+                      algos::SuuCPolicy::precompute(inst, values->lp2_chains);
                   values->lp2 = cfg.lp2->t_fractional;
                 }
                 return PreparedParts{
@@ -126,7 +126,7 @@ void SolverRegistry::register_builtins(SolverRegistry& r) {
           const algos::SuuCPolicy::Config cfg = suu_c_config(opt);
           std::shared_ptr<const algos::SuuTPolicy::BlockCache> cache;
           if (opt.share_precompute) {
-            cache = algos::SuuTPolicy::precompute(inst, opt.lp1.pricing);
+            cache = algos::SuuTPolicy::precompute(inst);
           }
           return [cfg, cache] {
             return cache ? std::make_unique<algos::SuuTPolicy>(cfg, cache)
@@ -263,8 +263,7 @@ PreparedSolver SolverRegistry::prepare(const core::Instance& inst,
 // static_assert is the tripwire: adding a field to SolverOptions (or
 // Lp1Options) changes the struct size and fails the build here — fold the
 // new field into the hash below, then update the expected size.
-static_assert(sizeof(rounding::Lp1Options) ==
-                  2 * sizeof(int) + sizeof(lp::PricingRule),
+static_assert(sizeof(rounding::Lp1Options) == sizeof(int),
               "Lp1Options changed: fold the new field into prepare_key");
 static_assert(sizeof(SolverOptions) == sizeof(rounding::Lp1Options) +
                                            4 * sizeof(bool) +
@@ -275,10 +274,8 @@ std::uint64_t SolverRegistry::prepare_key(const core::Instance& inst,
                                           const SolverOptions& opt) {
   std::uint64_t h = inst.fingerprint();
   h = util::hash_combine(h, std::string_view(name));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.solver));
   h = util::hash_combine(h,
                          static_cast<std::uint64_t>(opt.lp1.simplex_size_limit));
-  h = util::hash_combine(h, static_cast<std::uint64_t>(opt.lp1.pricing));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.share_precompute));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.random_delays));
   h = util::hash_combine(h, static_cast<std::uint64_t>(opt.grid_rounding));

@@ -1059,7 +1059,7 @@ class RevisedSimplex {
   const StandardForm& sf_;
   double tol_;
   double piv_tol_;
-  PricingRule rule_;             // resolved: never Auto
+  PricingRule rule_;
   BasisFactorization fact_;
   std::vector<int> basis_;       // basic column per row
   std::vector<int> basic_pos_;   // column -> row, -1 when nonbasic
@@ -1099,9 +1099,7 @@ class RevisedSimplex {
 Solution solve_revised(const Problem& p, const StandardForm& sf,
                        const SimplexOptions& opt) {
   Solution sol;
-  const PricingRule rule =
-      opt.pricing == PricingRule::Auto ? PricingRule::Devex : opt.pricing;
-  RevisedSimplex rs(sf, opt.tol, rule);
+  RevisedSimplex rs(sf, opt.tol, opt.pricing);
   const int m = sf.m;
   const int n = sf.n_total;
   const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);

@@ -25,23 +25,15 @@
 // under the differential oracle — the rule changes the path, never the
 // answer.
 //
-// PricingRule::Auto resolves by program class, not here: the LP1 builder
-// (rounding/lp1.cpp) resolves it to Dantzig, which solves every LP1
-// measured faster than Devex (BM_Lp1Pricing), and
-// lp::solve_simplex resolves every other Auto to Devex.
+// The rule is fixed per program class, not chosen by callers: LP1
+// (rounding/lp1.cpp) passes Dantzig, which solves every LP1
+// measured faster than Devex (BM_Lp1Pricing), and every other program runs
+// the SimplexOptions default, Devex.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
-#include "lp/problem.hpp"
-
 namespace suu::lp::pricing {
-
-/// Parse the wire / CLI spelling of a pricing rule
-/// ("auto|dantzig|devex", matching to_string(PricingRule)).
-/// Returns false (leaving *out untouched) for anything else.
-bool parse_pricing_rule(std::string_view name, PricingRule* out);
 
 /// Weights above this trigger a framework reset (all weights back to 1):
 /// the reference framework has drifted too far for the approximation to

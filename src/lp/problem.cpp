@@ -38,8 +38,6 @@ std::string to_string(Status s) {
 
 std::string to_string(PricingRule r) {
   switch (r) {
-    case PricingRule::Auto:
-      return "auto";
     case PricingRule::Dantzig:
       return "dantzig";
     case PricingRule::Devex:

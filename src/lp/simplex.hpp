@@ -85,12 +85,12 @@ struct SimplexOptions {
   /// that does not fit (wrong size, singular, or an infeasible vertex) is
   /// dropped and the solve starts cold. Empty = cold start.
   std::vector<int> seed_basis;
-  /// Entering-variable pricing rule (lp/pricing.hpp). Auto means Devex
-  /// here; builders that know their program class resolve it first (LP1
-  /// passes Dantzig). Every rule reaches the same verdict and objective —
-  /// pricing changes the pivot path, never the answer (the differential
-  /// oracle crosses all rules to enforce it).
-  PricingRule pricing = PricingRule::Auto;
+  /// Entering-variable pricing rule (lp/pricing.hpp). LP1
+  /// (rounding/lp1.cpp) passes Dantzig; every other program keeps Devex.
+  /// Both rules reach the same verdict and objective — pricing changes the
+  /// pivot path, never the answer (the differential oracle crosses both
+  /// rules to enforce it).
+  PricingRule pricing = PricingRule::Devex;
 };
 
 /// Solve `min c·x, rows, x >= 0`. On Status::Optimal the returned point is

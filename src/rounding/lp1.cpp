@@ -25,13 +25,77 @@ void check_jobs(const core::Instance& inst, const std::vector<int>& jobs) {
   }
 }
 
-Lp1Fractional solve_with_simplex(const core::Instance& inst,
-                                 const std::vector<int>& jobs, double L,
-                                 lp::PricingRule pricing) {
-  lp::Problem p;
-  const int t_var = p.add_var(1.0);  // minimize t
+Lp1Fractional solve_with_simplex(Lp1Program prog) {
+  // Dantzig pricing for this program class: from the crash basis it beats
+  // Devex on every LP1 measured (BM_Lp1Pricing).
+  lp::SimplexOptions sopt;
+  sopt.seed_basis = std::move(prog.crash_basis);
+  sopt.pricing = lp::PricingRule::Dantzig;
+  const lp::Solution sol = lp::solve_simplex(prog.problem, sopt);
+  SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
+                "LP1 solve failed: " << lp::to_string(sol.status));
+
+  Lp1Fractional frac;
+  frac.t = sol.x[prog.t_var];
+  frac.lower_bound = frac.t;
+  frac.simplex_iterations = sol.iterations;
+  frac.simplex_phase1_iterations = sol.phase1_iterations;
+  frac.ftran_calls = sol.ftran_calls;
+  frac.ftran_nnz = sol.ftran_nnz;
+  frac.x.resize(prog.var_of.size());
+  for (std::size_t idx = 0; idx < prog.var_of.size(); ++idx) {
+    for (const auto& [i, v] : prog.var_of[idx]) {
+      const double val = sol.x[v];
+      if (val > kEps) frac.x[idx].emplace_back(i, val);
+    }
+  }
+  return frac;
+}
+
+Lp1Fractional solve_with_fw(const core::Instance& inst,
+                            const std::vector<int>& jobs, double L) {
+  check_jobs(inst, jobs);
+  SUU_CHECK(L > 0);
+  lp::CoverSystem sys;
+  sys.n_machines = inst.num_machines();
+  sys.cover.resize(jobs.size());
+  sys.demand.assign(jobs.size(), L);
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    const int j = jobs[idx];
+    for (int i = 0; i < inst.num_machines(); ++i) {
+      const double e = inst.ell_capped(i, j, L);
+      if (e > kEps) sys.cover[idx].emplace_back(i, e);
+    }
+    SUU_CHECK_MSG(!sys.cover[idx].empty(),
+                  "job " << j << " has no capable machine");
+  }
+  const lp::FwSolution fw = lp::solve_fw_cover(sys);
+
+  Lp1Fractional frac;
+  frac.t = fw.t;
+  frac.lower_bound = fw.lower_bound;
+  frac.x.resize(jobs.size());
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    for (std::size_t k = 0; k < sys.cover[idx].size(); ++k) {
+      const double val = fw.x[idx][k];
+      if (val > kEps) frac.x[idx].emplace_back(sys.cover[idx][k].first, val);
+    }
+  }
+  return frac;
+}
+
+}  // namespace
+
+Lp1Program build_lp1_program(const core::Instance& inst,
+                             const std::vector<int>& jobs, double L) {
+  check_jobs(inst, jobs);
+  SUU_CHECK(L > 0);
+  Lp1Program prog;
+  lp::Problem& p = prog.problem;
+  const int t_var = prog.t_var = p.add_var(1.0);  // minimize t
   // Variables only for capable (ell' > 0) pairs.
-  std::vector<std::vector<std::pair<int, int>>> var_of(jobs.size());
+  auto& var_of = prog.var_of;
+  var_of.resize(jobs.size());
   std::vector<lp::Row> load_rows(inst.num_machines());
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     const int j = jobs[idx];
@@ -91,7 +155,8 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
   for (int i = 1; i < inst.num_machines(); ++i) {
     if (load[i] > load[imax]) imax = i;
   }
-  std::vector<int> crash(p.rows.size(), -1);
+  std::vector<int>& crash = prog.crash_basis;
+  crash.assign(p.rows.size(), -1);
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     crash[idx] = chosen[idx];
   }
@@ -102,79 +167,17 @@ Lp1Fractional solve_with_simplex(const core::Instance& inst,
     if (r < 0) continue;
     crash[static_cast<std::size_t>(r)] = i == imax ? t_var : p.num_vars + r;
   }
-
-  // Auto pricing resolves to Dantzig for this program class: from the
-  // crash basis it beats Devex on every LP1 measured (BM_Lp1Pricing).
-  lp::SimplexOptions sopt;
-  sopt.seed_basis = std::move(crash);
-  sopt.pricing =
-      pricing == lp::PricingRule::Auto ? lp::PricingRule::Dantzig : pricing;
-  const lp::Solution sol = lp::solve_simplex(p, sopt);
-  SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
-                "LP1 solve failed: " << lp::to_string(sol.status));
-
-  Lp1Fractional frac;
-  frac.t = sol.x[t_var];
-  frac.lower_bound = frac.t;
-  frac.simplex_iterations = sol.iterations;
-  frac.simplex_phase1_iterations = sol.phase1_iterations;
-  frac.ftran_calls = sol.ftran_calls;
-  frac.ftran_nnz = sol.ftran_nnz;
-  frac.x.resize(jobs.size());
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    for (const auto& [i, v] : var_of[idx]) {
-      const double val = sol.x[v];
-      if (val > kEps) frac.x[idx].emplace_back(i, val);
-    }
-  }
-  return frac;
+  return prog;
 }
-
-Lp1Fractional solve_with_fw(const core::Instance& inst,
-                            const std::vector<int>& jobs, double L) {
-  lp::CoverSystem sys;
-  sys.n_machines = inst.num_machines();
-  sys.cover.resize(jobs.size());
-  sys.demand.assign(jobs.size(), L);
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    for (int i = 0; i < inst.num_machines(); ++i) {
-      const double e = inst.ell_capped(i, j, L);
-      if (e > kEps) sys.cover[idx].emplace_back(i, e);
-    }
-    SUU_CHECK_MSG(!sys.cover[idx].empty(),
-                  "job " << j << " has no capable machine");
-  }
-  const lp::FwSolution fw = lp::solve_fw_cover(sys);
-
-  Lp1Fractional frac;
-  frac.t = fw.t;
-  frac.lower_bound = fw.lower_bound;
-  frac.x.resize(jobs.size());
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    for (std::size_t k = 0; k < sys.cover[idx].size(); ++k) {
-      const double val = fw.x[idx][k];
-      if (val > kEps) frac.x[idx].emplace_back(sys.cover[idx][k].first, val);
-    }
-  }
-  return frac;
-}
-
-}  // namespace
 
 Lp1Fractional solve_lp1(const core::Instance& inst,
                         const std::vector<int>& jobs, double L,
                         const Lp1Options& opt) {
-  check_jobs(inst, jobs);
-  SUU_CHECK(L > 0);
   const bool use_simplex =
-      opt.solver == Lp1Options::Solver::Simplex ||
-      (opt.solver == Lp1Options::Solver::Auto &&
-       static_cast<std::int64_t>(jobs.size()) * inst.num_machines() <=
-           opt.simplex_size_limit);
-  return use_simplex
-             ? solve_with_simplex(inst, jobs, L, opt.pricing)
-             : solve_with_fw(inst, jobs, L);
+      static_cast<std::int64_t>(jobs.size()) * inst.num_machines() <=
+      opt.simplex_size_limit;
+  return use_simplex ? solve_with_simplex(build_lp1_program(inst, jobs, L))
+                     : solve_with_fw(inst, jobs, L);
 }
 
 sched::IntegralAssignment trim_assignment(

@@ -26,17 +26,29 @@
 namespace suu::rounding {
 
 struct Lp1Options {
-  enum class Solver { Auto, Simplex, FrankWolfe };
-  Solver solver = Solver::Auto;
-  /// Auto picks the simplex when |J'| * m is at most this threshold.
+  /// LP1 runs the simplex when |J'| * m is at most this limit and
+  /// Frank–Wolfe otherwise: 0 means Frank–Wolfe always, INT_MAX the
+  /// simplex always.
   int simplex_size_limit = 4000;
-  /// Simplex pricing rule (ignored by Frank–Wolfe; see lp/pricing.hpp).
-  /// Auto resolves per program class: Dantzig for LP1, Devex for the LP2
-  /// solves these options also govern when threaded through suu::api.
-  lp::PricingRule pricing = lp::PricingRule::Auto;
 
   bool operator==(const Lp1Options&) const = default;
 };
+
+/// LP1(J', L) as the simplex solves it: the program (variable 0 is t,
+/// cover rows normalized by L come first, one per listed job, then one load
+/// row per capable machine), its greedy crash basis (primal feasible, so
+/// the solve skips phase 1) and the variable map var_of[idx] = (machine,
+/// variable) over the capable pairs of jobs[idx]. Same preconditions as
+/// solve_lp1.
+struct Lp1Program {
+  lp::Problem problem;
+  std::vector<int> crash_basis;
+  int t_var = 0;
+  std::vector<std::vector<std::pair<int, int>>> var_of;
+};
+
+Lp1Program build_lp1_program(const core::Instance& inst,
+                             const std::vector<int>& jobs, double L);
 
 struct Lp1Fractional {
   /// Achieved fractional value (max machine load). For the simplex this is
@@ -58,7 +70,8 @@ struct Lp1Fractional {
 };
 
 /// Solve the relaxation of LP1(J', L). `jobs` lists J' (must be non-empty,
-/// duplicate-free); L > 0.
+/// duplicate-free); L > 0. The simplex path solves build_lp1_program's
+/// program from its crash basis with Dantzig pricing.
 Lp1Fractional solve_lp1(const core::Instance& inst,
                         const std::vector<int>& jobs, double L,
                         const Lp1Options& opt = {});

@@ -19,8 +19,7 @@ constexpr double kL = 1.0;  // LP2 uses a unit log-mass target
 }  // namespace
 
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
-                              const std::vector<std::vector<int>>& chains,
-                              lp::PricingRule pricing) {
+                              const std::vector<std::vector<int>>& chains) {
   // ---- Collect the job set and validate the chain partition.
   std::vector<int> jobs;
   std::vector<char> seen(inst.num_jobs(), 0);
@@ -89,9 +88,7 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
     p.add_row(std::move(len));
   }
 
-  lp::SimplexOptions sopt;
-  sopt.pricing = pricing;
-  const lp::Solution sol = lp::solve_simplex(p, sopt);
+  const lp::Solution sol = lp::solve_simplex(p);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP2 solve failed: " << lp::to_string(sol.status));
 

@@ -36,11 +36,9 @@ struct Lp2Result {
 /// `chains` must partition a subset of jobs into precedence-ordered chains;
 /// every job appearing in a chain gets mass >= 1.
 ///
-/// `pricing` picks the entering-variable rule (lp::PricingRule::Auto
-/// means Devex for LP2; any rule reaches the same optimum). Every solve
-/// starts cold on the revised simplex; a numerical failure throws.
+/// Every solve starts cold on the revised simplex with the default Devex
+/// pricing; a numerical failure throws.
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
-                              const std::vector<std::vector<int>>& chains,
-                              lp::PricingRule pricing = lp::PricingRule::Auto);
+                              const std::vector<std::vector<int>>& chains);
 
 }  // namespace suu::rounding

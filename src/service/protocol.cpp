@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "lp/pricing.hpp"
 #include "util/check.hpp"
 #include "util/table.hpp"
 
@@ -66,7 +65,7 @@ api::SolverOptions parse_options(const Json& options) {
   check_known_keys(o,
                    {"share_precompute", "reuse_cache", "random_delays",
                     "grid_rounding", "gamma_factor", "fallback_factor",
-                    "lp1_solver", "lp1_simplex_size_limit", "lp_pricing"},
+                    "lp1_simplex_size_limit"},
                    "options");
   opt.share_precompute = get_bool(o, "share_precompute", opt.share_precompute);
   opt.reuse_cache = get_bool(o, "reuse_cache", opt.reuse_cache);
@@ -77,27 +76,9 @@ api::SolverOptions parse_options(const Json& options) {
   opt.fallback_factor =
       get_finite_double(o, "fallback_factor", opt.fallback_factor);
   if (opt.fallback_factor <= 0.0) bad_params("fallback_factor must be > 0");
-  if (const auto it = o.find("lp1_solver"); it != o.end()) {
-    const std::string& s = it->second.as_string("lp1_solver");
-    if (s == "auto") {
-      opt.lp1.solver = rounding::Lp1Options::Solver::Auto;
-    } else if (s == "simplex") {
-      opt.lp1.solver = rounding::Lp1Options::Solver::Simplex;
-    } else if (s == "frank-wolfe") {
-      opt.lp1.solver = rounding::Lp1Options::Solver::FrankWolfe;
-    } else {
-      bad_params("lp1_solver must be one of auto|simplex|frank-wolfe");
-    }
-  }
   opt.lp1.simplex_size_limit = static_cast<int>(
-      get_int_in(o, "lp1_simplex_size_limit", opt.lp1.simplex_size_limit, 1,
+      get_int_in(o, "lp1_simplex_size_limit", opt.lp1.simplex_size_limit, 0,
                  1'000'000'000));
-  if (const auto it = o.find("lp_pricing"); it != o.end()) {
-    const std::string& s = it->second.as_string("lp_pricing");
-    if (!lp::pricing::parse_pricing_rule(s, &opt.lp1.pricing)) {
-      bad_params("lp_pricing must be one of auto|dantzig|devex");
-    }
-  }
   return opt;
 }
 

@@ -7,8 +7,8 @@
 // same anti-cycling driver (lp::detail::run_simplex_phase), but keeps the
 // whole B^{-1}A explicit in a flat row-major arena and pays O(m·n) per
 // pivot. solve_tableau ignores SimplexOptions::seed_basis (every solve
-// starts cold) and resolves PricingRule::Auto to Dantzig. It is test code:
-// nothing in libsuu links it.
+// starts cold) and runs Dantzig pricing unless the caller passes options
+// naming another rule. It is test code: nothing in libsuu links it.
 #pragma once
 
 #include <algorithm>
@@ -406,12 +406,20 @@ class Tableau {
   std::vector<int> cand_;      // improving columns (exact, lazily compacted)
   std::vector<char> in_cand_;  // j is somewhere in cand_
   std::vector<int> support_;   // scratch: pivot-row nonzero columns
-  PricingRule rule_ = PricingRule::Dantzig;  // resolved: never Auto
+  PricingRule rule_ = PricingRule::Dantzig;
   pricing::ReferenceWeights weights_;        // active for Devex
 };
 
+/// The oracle's default options: Dantzig pricing.
+inline SimplexOptions dantzig_options() {
+  SimplexOptions opt;
+  opt.pricing = PricingRule::Dantzig;
+  return opt;
+}
+
 /// Solve `min c·x, rows, x >= 0` on the dense tableau (cold start).
-inline Solution solve_tableau(const Problem& p, const SimplexOptions& opt = {}) {
+inline Solution solve_tableau(const Problem& p,
+                              const SimplexOptions& opt = dantzig_options()) {
   Solution sol;
   if (p.num_vars == 0) {
     // Trivially optimal iff every row is satisfied by x = {}.
@@ -427,9 +435,7 @@ inline Solution solve_tableau(const Problem& p, const SimplexOptions& opt = {}) 
   }
 
   const StandardForm sf = build_standard_form(p);
-  const PricingRule rule =
-      opt.pricing == PricingRule::Auto ? PricingRule::Dantzig : opt.pricing;
-  Tableau tab(sf, opt.tol, rule);
+  Tableau tab(sf, opt.tol, opt.pricing);
   const int m = tab.rows();
   const int n = tab.cols();
   const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "algos/baselines.hpp"
@@ -176,7 +177,7 @@ TEST(PrecomputeCache, DistinctInstancesAndOptionsMiss) {
   make_solver(a, "suu-i-sem");
   make_solver(b, "suu-i-sem");  // different fingerprint
   SolverOptions opt;
-  opt.lp1.solver = rounding::Lp1Options::Solver::FrankWolfe;
+  opt.lp1.simplex_size_limit = 0;
   make_solver(a, "suu-i-sem", opt);  // different options
   const PrecomputeCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
@@ -199,22 +200,18 @@ TEST(PrecomputeCache, OptOutBypassesCache) {
   EXPECT_EQ(s.size, 0u);
 }
 
-TEST(PrecomputeCache, PrepareKeyFoldsLp1OptionsAndPricing) {
-  // Cells that differ only in the LP1 solver choice, its size cutover or
-  // the pricing rule must not alias one prepared solver.
+TEST(PrecomputeCache, PrepareKeyFoldsTheLp1SizeCutover) {
+  // Cells that differ only in the LP1 size cutover (0 = Frank–Wolfe
+  // always, INT_MAX = simplex always) must not alias one prepared solver.
   const core::Instance inst = independent_instance(7, 3, 41);
-  const SolverOptions def;
-  SolverOptions simplex;
-  simplex.lp1.solver = rounding::Lp1Options::Solver::Simplex;
-  SolverOptions limit;
-  limit.lp1.simplex_size_limit = 16;
-  SolverOptions devex;
-  devex.lp1.pricing = lp::PricingRule::Devex;
   const std::uint64_t key =
-      SolverRegistry::prepare_key(inst, "suu-i-sem", def);
-  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", simplex));
-  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", limit));
-  EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", devex));
+      SolverRegistry::prepare_key(inst, "suu-i-sem", SolverOptions{});
+  for (const int limit : {0, 16, std::numeric_limits<int>::max()}) {
+    SolverOptions opt;
+    opt.lp1.simplex_size_limit = limit;
+    EXPECT_NE(key, SolverRegistry::prepare_key(inst, "suu-i-sem", opt))
+        << "limit " << limit;
+  }
 }
 
 TEST(PrecomputeCache, LruEvictionTouchesOnHit) {

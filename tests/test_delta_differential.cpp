@@ -1,9 +1,9 @@
 // Delta-differential oracle: random delta chains applied to open handles
 // through the update_instance wire method must leave the handle answering
 // solve/estimate BYTE-identically to a cold parse of the fully mutated
-// instance — across both LP1 solvers (simplex and Frank–Wolfe, plus the
-// size-based auto choice) and every pricing rule. This is the
-// pin that keeps the delta path honest: skipping the re-parse of the full
+// instance — across both LP1 solvers (lp1_simplex_size_limit 0 forces
+// Frank–Wolfe, 1000000000 the simplex, the default picks by size). This is
+// the pin that keeps the delta path honest: skipping the re-parse of the full
 // payload may only change *how fast* a handle answers, never a single
 // output byte.
 //
@@ -180,8 +180,8 @@ std::string update_request(long id, std::uint64_t handle,
   return req + "}}";
 }
 
-const char* kLp1Solvers[] = {"auto", "simplex", "frank-wolfe"};
-const char* kPricings[] = {"auto", "dantzig", "devex"};
+const char* kLp1Limits[] = {"", R"("lp1_simplex_size_limit":0)",
+                            R"("lp1_simplex_size_limit":1000000000)"};
 
 TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
   const long budget = instance_budget();
@@ -195,9 +195,11 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
     // wire fingerprints match the local ones along the whole chain.
     const core::Instance root =
         core::apply_delta(root_instance(trial, rng), core::InstanceDelta{});
-    const std::string opts =
-        std::string("\"lp1_solver\":\"") + kLp1Solvers[trial % 3] +
-        "\",\"lp_pricing\":\"" + kPricings[(trial / 3) % 3] + "\"";
+    // The options under test, and the same with reuse_cache:false for the
+    // cold reference.
+    const std::string opts = kLp1Limits[trial % 3];
+    const std::string cold_opts = std::string(R"("reuse_cache":false)") +
+                                  (opts.empty() ? "" : ",") + opts;
 
     const auto H = [&](const std::string& line) { return engine.handle(line); };
     const service::Json opened = service::Json::parse(H(
@@ -242,7 +244,7 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
           opts + "}}}");
       const std::string cold_solve = H(
           R"({"id":9,"method":"solve","params":{"instance":)" + step_text +
-          R"(,"lower_bound":true,"options":{"reuse_cache":false,)" + opts +
+          R"(,"lower_bound":true,"options":{)" + cold_opts +
           "}}}");
       EXPECT_EQ(handle_solve, cold_solve)
           << "trial " << trial << " step " << step;
@@ -256,7 +258,7 @@ TEST(DeltaDifferential, UpdatedHandleMatchesColdParseBytes) {
         std::to_string(handle) + est_tail + R"(,"options":{)" + opts + "}}}");
     const std::string cold_est = H(
         R"({"id":9,"method":"estimate","params":{"instance":)" + final_text +
-        est_tail + R"(,"options":{"reuse_cache":false,)" + opts + "}}}");
+        est_tail + R"(,"options":{)" + cold_opts + "}}}");
     EXPECT_EQ(handle_est, cold_est) << "trial " << trial;
 
     engine.handle(R"({"id":99,"method":"close_instance","params":{"handle":)" +

@@ -169,18 +169,17 @@ TEST(LowerBoundReuse, SharePrecomputeOffSolvesFresh) {
   }
 }
 
-TEST(LowerBoundReuse, ReuseKeysOnOptions) {
+TEST(LowerBoundReuse, Lp1ReuseKeysOnOptions) {
   const core::Instance inst = independent(64, 32, 9);
   api::SolverOptions fw;
-  fw.lp1.solver = rounding::Lp1Options::Solver::FrankWolfe;
-  api::SolverOptions devex;
-  devex.lp1.pricing = lp::PricingRule::Devex;
-  devex.lp1.simplex_size_limit = 1 << 20;
+  fw.lp1.simplex_size_limit = 0;
+  api::SolverOptions raised;
+  raised.lp1.simplex_size_limit = 1 << 20;
   expect_reuse_identity(inst, "auto", fw);
-  expect_reuse_identity(inst, "auto", devex);
-  expect_reuse_identity(chains32(9), "auto", devex);
+  expect_reuse_identity(inst, "auto", raised);
+  expect_reuse_identity(chains32(9), "auto", raised);
 
-  // A solver prepared under one set of options answers a bound under
+  // A solver prepared under one set of options answers an LP1 bound under
   // another by solving fresh, never with its own value.
   api::SolverOptions cold;
   cold.reuse_cache = false;
@@ -193,6 +192,26 @@ TEST(LowerBoundReuse, ReuseKeysOnOptions) {
   const core::Instance other = independent(64, 32, 10);
   expect_bitwise_equal(api::lower_bound_auto(other, simplex),
                        api::lower_bound_auto(other));
+}
+
+TEST(LowerBoundReuse, Lp2ReuseIgnoresLp1Options) {
+  if (!obs::compiled_in) GTEST_SKIP() << "observability compiled out";
+  // LP2 takes no options, so suu-c prepared with Frank–Wolfe LP1 still hands
+  // its LP2 to a default-option bound: the bound solves its LP1 only.
+  const core::Instance inst = chains32(13);
+  api::SolverOptions fw;
+  fw.reuse_cache = false;
+  fw.lp1.simplex_size_limit = 0;
+  const api::PreparedSolver s = api::make_solver(inst, "suu-c", fw);
+  ASSERT_NE(s.relaxations, nullptr);
+  ASSERT_TRUE(s.relaxations->lp2.has_value());
+
+  const obs::Counter& solves =
+      obs::Registry::global().counter("suu_lp_solves_total");
+  const std::uint64_t before = solves.value();
+  const algos::LowerBound reused = api::lower_bound_auto(inst, s, {});
+  EXPECT_EQ(solves.value() - before, 1u) << "LP1 only, not LP2";
+  expect_bitwise_equal(reused, api::lower_bound_auto(inst));
 }
 
 // ------------------------------------------------------ service level

@@ -2,10 +2,11 @@
 // SUU_LP_REFACTOR_INTERVAL parsing (lp/basis.hpp). The end-to-end pricing
 // guarantees — identical verdicts and optima across every rule, matching
 // the tableau oracle — live in test_lp_differential.cpp; this file pins the
-// local contracts: spelling parsers, per-class Auto resolution, the Devex
+// local contracts: the fixed rule per program class, the Devex
 // reference-weight recurrence, and a small all-rules optimum check with
 // exact expected values.
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -44,59 +45,40 @@ TEST(RefactorInterval, RejectsEverythingElse) {
   EXPECT_EQ(parse_refactor_interval(nullptr), kDefaultRefactorInterval);
 }
 
-TEST(PricingRule_, ParsesWireSpellings) {
-  PricingRule r = PricingRule::Auto;
-  ASSERT_TRUE(pricing::parse_pricing_rule("dantzig", &r));
-  EXPECT_EQ(r, PricingRule::Dantzig);
-  ASSERT_TRUE(pricing::parse_pricing_rule("devex", &r));
-  EXPECT_EQ(r, PricingRule::Devex);
-  ASSERT_TRUE(pricing::parse_pricing_rule("auto", &r));
-  EXPECT_EQ(r, PricingRule::Auto);
-
-  r = PricingRule::Devex;
-  // "steepest" named a removed rule; it parses like any unknown word.
-  for (const char* s : {"", "Devex", "DANTZIG", "steepest", "bland",
-                        "devex1", "auto\n"}) {
-    EXPECT_FALSE(pricing::parse_pricing_rule(s, &r)) << "input \"" << s
-                                                     << '"';
-    EXPECT_EQ(r, PricingRule::Devex) << "rejected parse must not write";
-  }
-}
-
-TEST(PricingRule_, SpellingsRoundTripThroughToString) {
-  for (const PricingRule r :
-       {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
-    PricingRule back = PricingRule::Auto;
-    ASSERT_TRUE(pricing::parse_pricing_rule(to_string(r), &back))
-        << to_string(r);
-    EXPECT_EQ(back, r);
-  }
-}
-
-TEST(PricingRule_, AutoResolvesPerProgramClass) {
-  // Every pricing rule's pivot path is deterministic, so "Auto resolves to
-  // X" shows as Auto retracing X's path pivot for pivot.
+TEST(PricingRule_, Lp1DantzigPathAndDevexReachTheSameT) {
+  // solve_lp1's simplex path is build_lp1_program's program solved from its
+  // crash basis under Dantzig. Every rule's pivot path is deterministic, so
+  // the path shows as solve_lp1 retracing that solve pivot for pivot; a
+  // Devex solve of the same program and basis reaches the same t.
   util::Rng rng(7);
   const core::Instance inst = core::make_independent(
       48, 6, core::MachineModel::uniform(0.3, 0.95), rng);
   std::vector<int> jobs;
   for (int j = 0; j < inst.num_jobs(); ++j) jobs.push_back(j);
   rounding::Lp1Options opt;
-  opt.solver = rounding::Lp1Options::Solver::Simplex;
-  auto lp1 = [&](PricingRule r) {
-    opt.pricing = r;
-    return rounding::solve_lp1(inst, jobs, 0.5, opt);
-  };
-  // LP1: Auto is Dantzig.
-  const rounding::Lp1Fractional lp1_auto = lp1(PricingRule::Auto);
-  const rounding::Lp1Fractional lp1_dantzig = lp1(PricingRule::Dantzig);
-  const rounding::Lp1Fractional lp1_devex = lp1(PricingRule::Devex);
-  EXPECT_EQ(lp1_auto.simplex_iterations, lp1_dantzig.simplex_iterations);
-  EXPECT_EQ(lp1_auto.t, lp1_dantzig.t);
-  EXPECT_NEAR(lp1_devex.t, lp1_dantzig.t, 1e-9 * lp1_dantzig.t);
+  opt.simplex_size_limit = std::numeric_limits<int>::max();
+  const rounding::Lp1Fractional lp1 = rounding::solve_lp1(inst, jobs, 0.5, opt);
 
-  // Every other program: Auto is Devex. A cold LP1-shaped program solved
-  // through lp::solve_simplex directly is "every other program" here.
+  const rounding::Lp1Program prog =
+      rounding::build_lp1_program(inst, jobs, 0.5);
+  SimplexOptions sopt;
+  sopt.seed_basis = prog.crash_basis;
+  sopt.pricing = PricingRule::Dantzig;
+  const Solution dantzig = solve_simplex(prog.problem, sopt);
+  sopt.pricing = PricingRule::Devex;
+  const Solution devex = solve_simplex(prog.problem, sopt);
+  ASSERT_EQ(dantzig.status, Status::Optimal);
+  ASSERT_EQ(devex.status, Status::Optimal);
+  EXPECT_EQ(lp1.simplex_iterations, dantzig.iterations);
+  EXPECT_EQ(lp1.t, dantzig.x[static_cast<std::size_t>(prog.t_var)]);
+  EXPECT_NEAR(devex.x[static_cast<std::size_t>(prog.t_var)], lp1.t,
+              1e-9 * lp1.t);
+}
+
+TEST(PricingRule_, EveryOtherProgramRunsDevex) {
+  // The SimplexOptions default is Devex: a cold LP1-shaped program solved
+  // through lp::solve_simplex with default options retraces Devex's path.
+  util::Rng rng(7);
   Problem p;
   const int t = p.add_var(1.0);
   std::vector<Row> loads(6);
@@ -117,14 +99,14 @@ TEST(PricingRule_, AutoResolvesPerProgramClass) {
     p.add_row(std::move(load));
   }
   SimplexOptions sopt;
-  const Solution s_auto = solve_simplex(p, sopt);
+  const Solution s_default = solve_simplex(p, sopt);
   sopt.pricing = PricingRule::Devex;
   const Solution s_devex = solve_simplex(p, sopt);
   sopt.pricing = PricingRule::Dantzig;
   const Solution s_dantzig = solve_simplex(p, sopt);
-  ASSERT_EQ(s_auto.status, Status::Optimal);
-  EXPECT_EQ(s_auto.iterations, s_devex.iterations);
-  EXPECT_EQ(s_auto.objective, s_devex.objective);
+  ASSERT_EQ(s_default.status, Status::Optimal);
+  EXPECT_EQ(s_default.iterations, s_devex.iterations);
+  EXPECT_EQ(s_default.objective, s_devex.objective);
   EXPECT_NE(s_devex.iterations, s_dantzig.iterations)
       << "the rules must differ on this program, or the check is vacuous";
 }
@@ -204,8 +186,7 @@ TEST(Pricing, AllRulesReachTheSameOptimumAsTheOracle) {
   l1.terms = {{x10, 1.0}, {x11, 1.0}, {t, -1.0}};
   p.add_row(std::move(l1));
 
-  for (const PricingRule r :
-       {PricingRule::Auto, PricingRule::Dantzig, PricingRule::Devex}) {
+  for (const PricingRule r : {PricingRule::Dantzig, PricingRule::Devex}) {
     SimplexOptions opt;
     opt.pricing = r;
     const Solution s = solve_simplex(p, opt);

@@ -97,7 +97,7 @@ TEST(Lemma2Rounding, FrankWolfeSolverPathAlsoSound) {
       24, 6, core::MachineModel::uniform(0.3, 0.9), rng);
   const auto jobs = all_jobs(inst);
   Lp1Options opt;
-  opt.solver = Lp1Options::Solver::FrankWolfe;
+  opt.simplex_size_limit = 0;  // Frank–Wolfe at every size
   const Lp1Fractional frac = solve_lp1(inst, jobs, 0.5, opt);
   EXPECT_GT(frac.lower_bound, 0.0);
   EXPECT_GE(frac.t, frac.lower_bound - 1e-9);

@@ -164,30 +164,12 @@ TEST(ServiceProtocol, ParamValidation) {
   EXPECT_THROW(parse_solve_params(Json::parse(
                    R"({"instance":"x","options":{"unknown_opt":1}})")),
                ProtocolError);
-  // The LP1 solver knob round-trips through the wire and rejects typos.
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(R"({"instance":"x",
-                                "options":{"lp1_solver":"frank-wolfe"}})"))
-                .options.lp1.solver,
-            rounding::Lp1Options::Solver::FrankWolfe);
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(
-                    R"({"instance":"x","options":{"lp1_solver":"simplex"}})"))
-                .options.lp1.solver,
-            rounding::Lp1Options::Solver::Simplex);
-  EXPECT_THROW(parse_solve_params(Json::parse(
-                   R"({"instance":"x","options":{"lp1_solver":"tableau"}})")),
-               ProtocolError);
-  // Same contract for the pricing knob.
-  EXPECT_EQ(parse_solve_params(
-                Json::parse(
-                    R"({"instance":"x","options":{"lp_pricing":"devex"}})"))
-                .options.lp1.pricing,
-            lp::PricingRule::Devex);
   // Removed inputs are rejected with a typed bad_params, never ignored:
-  // the warm_start option, the steepest pricing rule and the lp_engine
-  // option (one simplex engine remains) no longer exist.
-  const auto bad_params_message = [](const char* params) {
+  // the warm_start option, the lp_engine option (one simplex engine
+  // remains), and the lp1_solver and lp_pricing options (the code picks
+  // the LP1 solver by size and the pricing rule by program class) no
+  // longer exist.
+  const auto bad_params_message = [](const std::string& params) {
     try {
       parse_solve_params(Json::parse(params));
     } catch (const ProtocolError& err) {
@@ -201,22 +183,40 @@ TEST(ServiceProtocol, ParamValidation) {
                 R"({"instance":"x","options":{"warm_start":true}})")
                 .find("unknown key 'warm_start'"),
             std::string::npos);
+  const auto expect_unknown_key = [&](const std::string& key,
+                                      const std::string& value) {
+    const std::string params = R"({"instance":"x","options":{")" + key +
+                               R"(":")" + value + R"("}})";
+    EXPECT_NE(bad_params_message(params).find("unknown key '" + key + "'"),
+              std::string::npos)
+        << params;
+  };
   for (const char* engine : {"auto", "tableau", "revised", "bogus"}) {
-    const std::string params =
-        std::string(R"({"instance":"x","options":{"lp_engine":")") + engine +
-        R"("}})";
-    EXPECT_NE(bad_params_message(params.c_str())
-                  .find("unknown key 'lp_engine'"),
+    expect_unknown_key("lp_engine", engine);
+  }
+  for (const char* solver : {"auto", "simplex", "frank-wolfe"}) {
+    expect_unknown_key("lp1_solver", solver);
+  }
+  for (const char* rule : {"auto", "dantzig", "devex", "steepest"}) {
+    expect_unknown_key("lp_pricing", rule);
+  }
+  // The LP1 size cutover round-trips through the wire over [0, 1e9]:
+  // 0 forces Frank–Wolfe, 1e9 the simplex.
+  const std::string limit_prefix =
+      R"({"instance":"x","options":{"lp1_simplex_size_limit":)";
+  for (const int limit : {0, 16, 1'000'000'000}) {
+    const std::string params = limit_prefix + std::to_string(limit) + "}}";
+    EXPECT_EQ(parse_solve_params(Json::parse(params))
+                  .options.lp1.simplex_size_limit,
+              limit)
+        << params;
+  }
+  for (const char* limit : {"-1", "1000000001"}) {
+    const std::string params = limit_prefix + limit + "}}";
+    EXPECT_NE(bad_params_message(params).find("outside [0, 1000000000]"),
               std::string::npos)
         << params;
   }
-  EXPECT_NE(bad_params_message(
-                R"({"instance":"x","options":{"lp_pricing":"steepest"}})")
-                .find("auto|dantzig|devex"),
-            std::string::npos);
-  EXPECT_THROW(parse_solve_params(Json::parse(
-                   R"({"instance":"x","options":{"lp_pricing":"bland"}})")),
-               ProtocolError);
   // Estimate-only keys are rejected for a plain solve...
   EXPECT_THROW(
       parse_solve_params(Json::parse(R"({"instance":"x","seed":1})")),
