@@ -1,6 +1,6 @@
 // F-LP — Lemma 2 / Lemma 6 quality: the flow rounding is O(1) against the
-// fractional LP, per-job delivered mass meets the target, and the
-// DESIGN.md ablations:
+// fractional LP, per-job delivered mass meets the target, and two
+// ablations:
 //   * trim on/off — the paper's floor(6 D) construction over-delivers ~6x;
 //     trimming recovers most of it without touching any guarantee.
 //   * simplex vs Frank–Wolfe fractional solve — value gap and rounded-load

@@ -3,7 +3,7 @@
 // pays a Theta(log n) repetition factor while SUU-I-SEM's doubling rounds
 // cap it at O(log log n).
 //
-// Ablation (DESIGN.md §5): SUU-I-OBL *is* SUU-I-SEM with the doubling
+// Ablation: SUU-I-OBL *is* SUU-I-SEM with the doubling
 // disabled (fixed L = 1/2 every round), so the obl column doubles as the
 // no-doubling ablation. We report the ratio curves plus successive
 // differences per doubling of n: logarithmic growth shows as a constant

@@ -19,6 +19,7 @@
 #include "algos/suu_i.hpp"
 #include "api/experiment.hpp"
 #include "api/registry.hpp"
+#include "chains/decomposition.hpp"
 #include "core/generators.hpp"
 #include "flow/max_flow.hpp"
 #include "lp/fw_cover.hpp"
@@ -181,26 +182,50 @@ void BM_RoundLp1(benchmark::State& state) {
 }
 BENCHMARK(BM_RoundLp1)->Arg(16)->Arg(64)->Arg(256);
 
-// The default LP2 path (revised engine, Devex pricing) plus the
-// Lemma 6 rounding. A numerical failure makes solve_and_round_lp2 throw,
-// which aborts the whole bench run.
-void BM_Lp2ChainsPipeline(benchmark::State& state) {
-  const int n_chains = static_cast<int>(state.range(0));
-  util::Rng rng(14);
-  core::Instance inst = core::make_chains(
-      n_chains, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
-  const auto chains = inst.dag().chains();
-  std::int64_t pivots = 0;
+// The default LP2 path (revised engine from the crash basis, Dantzig
+// pricing) plus the Lemma 6 rounding, on `chains`. "pivots" counts priced
+// iterations per solve and "phase1_pivots" the phase-1 share, 0 whenever
+// the crash basis installs. A numerical failure makes solve_and_round_lp2
+// throw, which aborts the whole bench run.
+void run_lp2(benchmark::State& state, const core::Instance& inst,
+             const std::vector<std::vector<int>>& chains) {
+  std::int64_t pivots = 0, phase1 = 0;
   for (auto _ : state) {
     const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
     pivots += res.simplex_iterations;
+    phase1 += res.simplex_phase1_iterations;
     benchmark::DoNotOptimize(res.t_fractional);
   }
   const auto iters = static_cast<double>(state.iterations());
   state.counters["pivots"] =
       benchmark::Counter(static_cast<double>(pivots) / iters);
+  state.counters["phase1_pivots"] =
+      benchmark::Counter(static_cast<double>(phase1) / iters);
+}
+
+void BM_Lp2ChainsPipeline(benchmark::State& state) {
+  const int n_chains = static_cast<int>(state.range(0));
+  util::Rng rng(14);
+  const core::Instance inst = core::make_chains(
+      n_chains, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
+  run_lp2(state, inst, inst.dag().chains());
 }
 BENCHMARK(BM_Lp2ChainsPipeline)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+// The forest lower bound's LP2: every heavy-path block of a 256-job
+// out-forest on the volunteer-computing classes in one program, the LP
+// behind dag_solve's p90 (api::lower_bound_auto on a forest).
+void BM_Lp2ForestLowerBound(benchmark::State& state) {
+  util::Rng rng(1);
+  const core::Instance inst = core::make_out_forest(
+      256, 8, 0.1, 3, core::MachineModel::classes(), rng);
+  std::vector<std::vector<int>> all;
+  for (const auto& block : chains::decompose_forest(inst.dag()).blocks) {
+    all.insert(all.end(), block.begin(), block.end());
+  }
+  run_lp2(state, inst, all);
+}
+BENCHMARK(BM_Lp2ForestLowerBound);
 
 void BM_Dinic(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

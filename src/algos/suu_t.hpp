@@ -32,7 +32,7 @@ class SuuTPolicy : public sim::Policy {
   sched::Assignment decide(const sim::ExecState& state) override;
 
   /// Deterministic per-instance work: heavy-path decomposition plus one
-  /// cold LP2 solve+round per block.
+  /// LP2 solve+round per block.
   static std::shared_ptr<const BlockCache> precompute(
       const core::Instance& inst);
 

@@ -1,7 +1,7 @@
 // Synthetic SUU instance families.
 //
 // The paper has no systems evaluation, so these generators define the
-// workloads for every experiment (DESIGN.md §3). Each family exercises a
+// workloads for every experiment. Each family exercises a
 // regime the theory distinguishes:
 //   * Uniform       — generic unrelated machines, q_ij ~ U[lo, hi].
 //   * Classes       — volunteer-computing style: a few reliable machines,

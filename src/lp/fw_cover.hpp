@@ -12,7 +12,7 @@
 // (u >= 0, sum u = 1), every feasible x has
 //     max_i load_i >= sum_i u_i load_i >= sum_j demand_j * min_i u_i / a_ij,
 // so the solver reports both an assignment and a duality gap. Used instead
-// of the dense simplex when n*m is large (DESIGN.md §5); Lemma 2 only needs
+// of the simplex when n*m is large (rounding::Lp1Options); Lemma 2 only needs
 // an O(1)-approximate fractional point, which the gap certifies.
 #pragma once
 

@@ -25,10 +25,10 @@
 // under the differential oracle — the rule changes the path, never the
 // answer.
 //
-// The rule is fixed per program class, not chosen by callers: LP1
-// (rounding/lp1.cpp) passes Dantzig, which solves every LP1
-// measured faster than Devex (BM_Lp1Pricing), and every other program runs
-// the SimplexOptions default, Devex.
+// The rule is fixed per program class, not chosen by callers: the
+// crash-started programs, LP1 (rounding/lp1.cpp, BM_Lp1Pricing) and LP2
+// (rounding/lp2.cpp), pass Dantzig; cold programs run the SimplexOptions
+// default, Devex.
 #pragma once
 
 #include <vector>

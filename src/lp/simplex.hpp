@@ -4,13 +4,16 @@
 //
 // One engine: the revised simplex over an eta-file basis factorization
 // (lp/basis.hpp), with FTRAN/BTRAN per pivot and periodic refactorization.
-// It starts from an optional seed basis (the LP1 builder always passes its
-// crash basis) or from the slack/artificial basis of the standard form.
+// It starts from an optional seed basis (the LP1 and LP2 builders always
+// pass their crash bases) or from the slack/artificial basis of the
+// standard form.
 // Numerical trouble is reported as Status::NumericalFailure, never papered
 // over by a re-solve; the differential tests hold it at zero against a
 // dense-tableau oracle that lives under tests/. A Bland's-rule fallback
 // guards against degenerate cycling. For large SUU-I instances the
-// Frank–Wolfe solver in lp/fw_cover.hpp takes over (see DESIGN.md §5).
+// Frank–Wolfe solver in lp/fw_cover.hpp takes over LP1
+// (rounding::Lp1Options::simplex_size_limit); docs/lp-internals.md has
+// the design.
 #pragma once
 
 #include <vector>
@@ -85,8 +88,9 @@ struct SimplexOptions {
   /// that does not fit (wrong size, singular, or an infeasible vertex) is
   /// dropped and the solve starts cold. Empty = cold start.
   std::vector<int> seed_basis;
-  /// Entering-variable pricing rule (lp/pricing.hpp). LP1
-  /// (rounding/lp1.cpp) passes Dantzig; every other program keeps Devex.
+  /// Entering-variable pricing rule (lp/pricing.hpp), fixed per program
+  /// class: the crash-started programs, LP1 (rounding/lp1.cpp) and LP2
+  /// (rounding/lp2.cpp), pass Dantzig; cold programs keep Devex.
   /// Both rules reach the same verdict and objective — pricing changes the
   /// pivot path, never the answer (the differential oracle crosses both
   /// rules to enforce it).

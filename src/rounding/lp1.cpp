@@ -303,7 +303,7 @@ sched::IntegralAssignment round_lp1(const core::Instance& inst,
   }
 
   // Numerical safety net: the theory guarantees mass >= L; if float error
-  // starved a job, top it up on its best machine (documented in DESIGN.md).
+  // starved a job, top it up on its best machine.
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
     const int j = jobs[idx];
     double mass = x.delivered_mass(inst, j, L);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -32,12 +33,32 @@ struct Lp2Result {
   int simplex_phase1_iterations = 0;
 };
 
+/// LP2 over `chains` as the simplex solves it: the program (variable 0 is
+/// t, then d_j per listed job in chain order, then x_ij over the capable
+/// pairs; per listed job its x_ij <= d_j cap rows, its cover row and its
+/// d_j >= 1 row, then one load row per machine capable of a listed job,
+/// then one length row per chain), its crash basis (primal feasible, so
+/// the solve skips phase 1), the listed jobs in chain order, d_var[j] (-1
+/// for unlisted jobs) and var_of[idx] = (machine, variable) over the
+/// capable pairs of jobs[idx]. Same preconditions as solve_and_round_lp2.
+struct Lp2Program {
+  lp::Problem problem;
+  std::vector<int> crash_basis;
+  int t_var = 0;
+  std::vector<int> jobs;
+  std::vector<int> d_var;
+  std::vector<std::vector<std::pair<int, int>>> var_of;
+};
+
+Lp2Program build_lp2_program(const core::Instance& inst,
+                             const std::vector<std::vector<int>>& chains);
+
 /// Solve the LP2 relaxation with the simplex and round per Lemma 6.
 /// `chains` must partition a subset of jobs into precedence-ordered chains;
 /// every job appearing in a chain gets mass >= 1.
 ///
-/// Every solve starts cold on the revised simplex with the default Devex
-/// pricing; a numerical failure throws.
+/// The revised simplex solves build_lp2_program's program from its crash
+/// basis with Dantzig pricing; a numerical failure throws.
 Lp2Result solve_and_round_lp2(const core::Instance& inst,
                               const std::vector<std::vector<int>>& chains);
 

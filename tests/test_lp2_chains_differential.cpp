@@ -1,10 +1,14 @@
-// LP2 chains oracle (labelled `differential` in ctest): the default-path LP2
-// relaxation of make_chains(nc, 2, 5, 4) instances must solve to Optimal
-// under every pricing rule — never NumericalFailure, which the revised
-// engine's Devex path once hit on most 32+-chain instances when it priced
-// off stale incremental reduced costs — and every rule must reach the same
-// fractional optimum t*. On the 16-chain instances t* must also equal the
-// dense tableau oracle's objective (tests/lp_tableau_oracle.hpp).
+// LP2 chains oracle (labelled `differential` in ctest): the LP2 relaxation
+// of make_chains(nc, 2, 5, 4) instances, written out independently and
+// solved cold, must reach Optimal under every pricing rule — never
+// NumericalFailure, which the revised engine's Devex path once hit on most
+// 32+-chain instances when it priced off stale incremental reduced costs —
+// and every rule must reach the default path's fractional optimum t*. The
+// default path (solve_and_round_lp2) starts from the crash basis of
+// rounding::build_lp2_program and prices with Dantzig; it must skip phase 1
+// on every instance here, chains, forests and hand-built edge cases alike.
+// Where the dense tableau oracle (tests/lp_tableau_oracle.hpp) is cheap
+// enough, t* must also equal its objective.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -13,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "api/registry.hpp"
+#include "chains/decomposition.hpp"
 #include "core/generators.hpp"
 #include "lp/simplex.hpp"
 #include "lp_tableau_oracle.hpp"
@@ -83,9 +88,15 @@ TEST(Lp2ChainsDifferential, EveryRuleOptimalAndMatchesTheOracle) {
       const lp::Problem program = lp2_program(inst, chains);
       const std::string at = "chains=" + std::to_string(nc) +
                              " seed=" + std::to_string(seed);
-      // The pipeline (Devex) throws on anything but Optimal.
-      const double reference =
-          rounding::solve_and_round_lp2(inst, chains).t_fractional;
+      // The default path (crash basis, Dantzig) throws on anything but
+      // Optimal and runs no phase 1. The cold solves below run both rules:
+      // Devex is the rule of every cold program, Dantzig that of every
+      // crash-started one.
+      const rounding::Lp2Result res =
+          rounding::solve_and_round_lp2(inst, chains);
+      EXPECT_EQ(res.simplex_phase1_iterations, 0)
+          << at << ": the crash basis did not install";
+      const double reference = res.t_fractional;
       for (const lp::PricingRule rule : rules) {
         const std::string ctx = at + " pricing=" + lp::to_string(rule);
         lp::SimplexOptions opt;
@@ -103,6 +114,88 @@ TEST(Lp2ChainsDifferential, EveryRuleOptimalAndMatchesTheOracle) {
             << at << ": revised t* differs from the tableau oracle";
       }
     }
+  }
+}
+
+// The default path solves `chains` from the crash basis: no phase-1
+// pivot, and t* within 1e-9 (relative) of the cold solve of lp2_program and,
+// when `tableau` is set, of the dense tableau oracle.
+void expect_crash_start(const core::Instance& inst,
+                        const std::vector<std::vector<int>>& chains,
+                        const std::string& at, bool tableau) {
+  const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
+  EXPECT_EQ(res.simplex_phase1_iterations, 0)
+      << at << ": the crash basis did not install";
+  const lp::Problem program = lp2_program(inst, chains);
+  const lp::Solution cold = lp::solve_simplex(program);
+  ASSERT_EQ(cold.status, lp::Status::Optimal) << at;
+  EXPECT_NEAR(res.t_fractional, cold.objective,
+              1e-9 * std::fabs(cold.objective))
+      << at << ": crash-started t* differs from the cold solve";
+  if (tableau) {
+    const lp::Solution ref = lp::oracle::solve_tableau(program);
+    ASSERT_EQ(ref.status, lp::Status::Optimal) << at;
+    EXPECT_NEAR(res.t_fractional, ref.objective,
+                1e-9 * std::fabs(ref.objective))
+        << at << ": crash-started t* differs from the tableau oracle";
+  }
+}
+
+TEST(Lp2CrashBasis, ForestBlocksSkipPhase1) {
+  // dag_solve's forest class: the all-blocks LP2 behind the forest lower
+  // bound and the per-block LP2 of every SUU-T heavy-path block, under the
+  // volunteer-computing classes and U[0.3, 0.9].
+  const core::MachineModel models[] = {
+      core::MachineModel::classes(), core::MachineModel::uniform(0.3, 0.9)};
+  for (int k = 0; k < 2; ++k) {
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      util::Rng rng(seed);
+      const core::Instance inst =
+          core::make_out_forest(256, 8, 0.1, 3, models[k], rng);
+      const chains::Decomposition dec = chains::decompose_forest(inst.dag());
+      const std::string at = std::string(k == 0 ? "classes" : "uniform") +
+                             " seed=" + std::to_string(seed);
+      std::vector<std::vector<int>> all;
+      for (std::size_t b = 0; b < dec.blocks.size(); ++b) {
+        expect_crash_start(inst, dec.blocks[b],
+                           at + " block=" + std::to_string(b), false);
+        all.insert(all.end(), dec.blocks[b].begin(), dec.blocks[b].end());
+      }
+      expect_crash_start(inst, all, at + " all blocks", false);
+    }
+  }
+}
+
+TEST(Lp2CrashBasis, EdgeCasesSkipPhase1) {
+  // q is row-major by job (q[j * m + i]); q = 1 means incapable, q <= 0.5
+  // means ell' = 1 (d_j = 1, so the d_j >= 1 surplus is a degenerate 0).
+  struct Case {
+    const char* what;
+    int n, m;
+    std::vector<double> q;
+    std::vector<std::vector<int>> chains;
+  };
+  const Case cases[] = {
+      {"job with one capable machine", 3, 2,
+       {0.7, 1.0, /**/ 0.6, 0.8, /**/ 1.0, 0.9},
+       {{0, 1, 2}}},
+      {"machine capable of no listed job (no load row)", 3, 3,
+       {0.7, 0.8, 1.0, /**/ 0.6, 0.9, 1.0, /**/ 1.0, 1.0, 0.5},
+       {{0}, {1}}},
+      {"ell' = 1 on the best machine (d_j = 1)", 4, 2,
+       {0.5, 0.8, /**/ 0.7, 0.25, /**/ 0.3, 0.9, /**/ 0.6, 0.6},
+       {{0, 1}, {2, 3}}},
+      {"chains cover some of the jobs", 6, 3,
+       {0.7, 0.8, 0.9, /**/ 0.6, 0.5, 0.9, /**/ 0.8, 0.8, 0.8,
+        /**/ 0.9, 0.4, 0.7, /**/ 0.5, 0.5, 0.5, /**/ 0.3, 0.3, 0.3},
+       {{1, 3}, {2}}},
+      {"every ell' = 1: tied loads and chain lengths", 4, 2,
+       {0.5, 0.5, /**/ 0.5, 0.5, /**/ 0.5, 0.5, /**/ 0.5, 0.5},
+       {{0, 1}, {2, 3}}},
+  };
+  for (const Case& c : cases) {
+    const core::Instance inst = core::Instance::independent(c.n, c.m, c.q);
+    expect_crash_start(inst, c.chains, c.what, true);
   }
 }
 

@@ -2,7 +2,9 @@
 // SUU_LP_REFACTOR_INTERVAL parsing (lp/basis.hpp). The end-to-end pricing
 // guarantees — identical verdicts and optima across every rule, matching
 // the tableau oracle — live in test_lp_differential.cpp; this file pins the
-// local contracts: the fixed rule per program class, the Devex
+// local contracts: the fixed rule per program class (crash-started LP1 and
+// LP2 run Dantzig; cold programs, Lawler–Labetoulle's among them, run
+// Devex), the Devex
 // reference-weight recurrence, and a small all-rules optimum check with
 // exact expected values.
 #include <cmath>
@@ -18,6 +20,7 @@
 #include "lp/simplex.hpp"
 #include "lp_tableau_oracle.hpp"
 #include "rounding/lp1.hpp"
+#include "rounding/lp2.hpp"
 #include "util/rng.hpp"
 
 namespace suu::lp {
@@ -75,9 +78,40 @@ TEST(PricingRule_, Lp1DantzigPathAndDevexReachTheSameT) {
               1e-9 * lp1.t);
 }
 
-TEST(PricingRule_, EveryOtherProgramRunsDevex) {
-  // The SimplexOptions default is Devex: a cold LP1-shaped program solved
-  // through lp::solve_simplex with default options retraces Devex's path.
+TEST(PricingRule_, Lp2DantzigPathAndDevexReachTheSameT) {
+  // solve_and_round_lp2 solves build_lp2_program's program from its crash
+  // basis under Dantzig: it retraces that solve pivot for pivot, with no
+  // phase 1, and a Devex solve from the same basis reaches the same t*.
+  util::Rng rng(7);
+  const core::Instance inst = core::make_chains(
+      12, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
+  const auto chains = inst.dag().chains();
+  const rounding::Lp2Result lp2 = rounding::solve_and_round_lp2(inst, chains);
+
+  const rounding::Lp2Program prog = rounding::build_lp2_program(inst, chains);
+  SimplexOptions sopt;
+  sopt.seed_basis = prog.crash_basis;
+  sopt.pricing = PricingRule::Dantzig;
+  const Solution dantzig = solve_simplex(prog.problem, sopt);
+  sopt.pricing = PricingRule::Devex;
+  const Solution devex = solve_simplex(prog.problem, sopt);
+  ASSERT_EQ(dantzig.status, Status::Optimal);
+  ASSERT_EQ(devex.status, Status::Optimal);
+  EXPECT_EQ(lp2.simplex_phase1_iterations, 0);
+  EXPECT_EQ(devex.phase1_iterations, 0);
+  EXPECT_EQ(lp2.simplex_iterations, dantzig.iterations);
+  EXPECT_EQ(lp2.t_fractional, dantzig.x[static_cast<std::size_t>(prog.t_var)]);
+  EXPECT_NE(devex.iterations, dantzig.iterations)
+      << "the rules must differ on this program, or the check is vacuous";
+  EXPECT_NEAR(devex.x[static_cast<std::size_t>(prog.t_var)], lp2.t_fractional,
+              1e-9 * lp2.t_fractional);
+}
+
+TEST(PricingRule_, ColdProgramsRunDevex) {
+  // Programs without a crash basis — stoch::solve_rpmtn's Lawler–Labetoulle
+  // LP among them — keep the SimplexOptions default, Devex: a cold
+  // LP1-shaped program solved through lp::solve_simplex with default options
+  // retraces Devex's path.
   util::Rng rng(7);
   Problem p;
   const int t = p.add_var(1.0);
