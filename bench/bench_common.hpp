@@ -16,7 +16,9 @@
 #include "api/experiment.hpp"
 #include "api/registry.hpp"
 #include "core/generators.hpp"
+#include "stoch/instance.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -77,6 +79,26 @@ struct Harness {
 
 inline void print_header(const std::string& title, const std::string& what) {
   std::cout << "\n=== " << title << " ===\n" << what << "\n\n";
+}
+
+/// F-STOCH's cluster instances (bench_fig_stoch, BM_Rpmtn): rates in
+/// [0.4, 2], each (job, machine) pair capable with probability 0.8 at speed
+/// in [0.2, 1.2], and every job with at least one capable machine.
+inline stoch::StochInstance make_cluster(util::Rng& rng, int n, int m) {
+  std::vector<double> lambda(static_cast<std::size_t>(n));
+  std::vector<double> v(static_cast<std::size_t>(n) * m, 0.0);
+  for (auto& l : lambda) l = 0.4 + rng.uniform01() * 1.6;
+  for (int j = 0; j < n; ++j) {
+    bool any = false;
+    for (int i = 0; i < m; ++i) {
+      if (rng.bernoulli(0.8)) {
+        v[static_cast<std::size_t>(j) * m + i] = 0.2 + rng.uniform01();
+        any = true;
+      }
+    }
+    if (!any) v[static_cast<std::size_t>(j) * m] = 1.0;
+  }
+  return stoch::StochInstance(n, m, std::move(lambda), std::move(v));
 }
 
 }  // namespace suu::bench

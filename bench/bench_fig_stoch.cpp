@@ -11,27 +11,6 @@
 
 using namespace suu;
 
-namespace {
-
-stoch::StochInstance make_cluster(util::Rng& rng, int n, int m) {
-  std::vector<double> lambda(static_cast<std::size_t>(n));
-  std::vector<double> v(static_cast<std::size_t>(n) * m, 0.0);
-  for (auto& l : lambda) l = 0.4 + rng.uniform01() * 1.6;
-  for (int j = 0; j < n; ++j) {
-    bool any = false;
-    for (int i = 0; i < m; ++i) {
-      if (rng.bernoulli(0.8)) {
-        v[static_cast<std::size_t>(j) * m + i] = 0.2 + rng.uniform01();
-        any = true;
-      }
-    }
-    if (!any) v[static_cast<std::size_t>(j) * m] = 1.0;
-  }
-  return stoch::StochInstance(n, m, std::move(lambda), std::move(v));
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   // The stochastic substrate has its own batched runner
   // (stoch::estimate_stoch, continuous time, not the discrete engine), so
@@ -56,7 +35,7 @@ int main(int argc, char** argv) {
   for (const Size sz :
        std::vector<Size>{{4, 2}, {8, 3}, {12, 4}, {20, 4}, {28, 6}}) {
     util::Rng rng(seed + static_cast<std::uint64_t>(sz.n));
-    const stoch::StochInstance inst = make_cluster(rng, sz.n, sz.m);
+    const stoch::StochInstance inst = bench::make_cluster(rng, sz.n, sz.m);
     const stoch::StochEstimate est =
         stoch::estimate_stoch(inst, reps, seed + 10);
     table.add_row({std::to_string(sz.n), std::to_string(sz.m),

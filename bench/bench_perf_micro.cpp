@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
+
 #include "algos/exact_dp.hpp"
 #include "algos/suu_i.hpp"
 #include "api/experiment.hpp"
@@ -23,12 +25,13 @@
 #include "core/generators.hpp"
 #include "flow/max_flow.hpp"
 #include "lp/fw_cover.hpp"
-#include "lp/simplex.hpp"
 #include "obs/metrics.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
 #include "sim/engine.hpp"
 #include "stoch/bvn.hpp"
+#include "stoch/instance.hpp"
+#include "stoch/lawler_labetoulle.hpp"
 #include "util/rng.hpp"
 
 using namespace suu;
@@ -124,34 +127,43 @@ void lp1_indep_median(benchmark::State& state) {
 }
 BENCHMARK(lp1_indep_median)->Name("BM_Lp1/64x32");
 
-// The pricing ablation behind LP1's fixed Dantzig rule: BM_Lp1's program
-// and crash basis (rounding::build_lp1_program) solved with the
-// entering-variable rule set per benchmark.
-void lp1_pricing(benchmark::State& state, lp::PricingRule rule) {
-  const int n = static_cast<int>(state.range(0));
-  const core::Instance inst = bench_instance(n, 8, 11);
-  const auto jobs = all_jobs(n);
-  Lp1Tally tally;
-  for (auto _ : state) {
-    rounding::Lp1Program prog = rounding::build_lp1_program(inst, jobs, 0.5);
-    lp::SimplexOptions opt;
-    opt.seed_basis = std::move(prog.crash_basis);
-    opt.pricing = rule;
-    const lp::Solution sol = lp::solve_simplex(prog.problem, opt);
-    tally.add(sol.iterations, sol.phase1_iterations, sol.ftran_calls,
-              sol.ftran_nnz);
-    benchmark::DoNotOptimize(sol.objective);
-  }
-  tally.report(state, inst);
+// Per-solve "pivots" and "phase1_pivots" counters from run totals.
+void report_pivots(benchmark::State& state, std::int64_t pivots,
+                   std::int64_t phase1) {
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["pivots"] =
+      benchmark::Counter(static_cast<double>(pivots) / iters);
+  state.counters["phase1_pivots"] =
+      benchmark::Counter(static_cast<double>(phase1) / iters);
 }
-BENCHMARK_CAPTURE(lp1_pricing, dantzig, lp::PricingRule::Dantzig)
-    ->Name("BM_Lp1Pricing/dantzig")
-    ->Arg(256)
-    ->Arg(1024);
-BENCHMARK_CAPTURE(lp1_pricing, devex, lp::PricingRule::Devex)
-    ->Name("BM_Lp1Pricing/devex")
-    ->Arg(256)
-    ->Arg(1024);
+
+// The Lawler–Labetoulle LP behind STC-I (stoch::solve_rpmtn, crash basis
+// plus the BvN slices): the offline program of F-STOCH's 128-job,
+// 16-machine cluster instance (bench_fig_stoch's generator and seed 9),
+// with p_j ~ Exp(lambda_j) drawn as run_stc_i draws its first
+// replication's lengths. "pivots" counts priced iterations per solve and
+// "phase1_pivots" the phase-1 share, 0 whenever the crash basis installs.
+void BM_Rpmtn(benchmark::State& state) {
+  constexpr int kN = 128;
+  constexpr std::uint64_t kSeed = 9;
+  util::Rng inst_rng(kSeed + kN);
+  const stoch::StochInstance inst = bench::make_cluster(inst_rng, kN, 16);
+  util::Rng rng = util::Rng(kSeed + 10).child(1);
+  std::vector<double> p(static_cast<std::size_t>(kN));
+  for (int j = 0; j < kN; ++j) {
+    p[static_cast<std::size_t>(j)] = rng.exponential(inst.lambda(j));
+  }
+  const auto jobs = all_jobs(kN);
+  std::int64_t pivots = 0, phase1 = 0;
+  for (auto _ : state) {
+    const stoch::PreemptiveSchedule s = stoch::solve_rpmtn(inst, jobs, p);
+    pivots += s.simplex_iterations;
+    phase1 += s.simplex_phase1_iterations;
+    benchmark::DoNotOptimize(s.makespan);
+  }
+  report_pivots(state, pivots, phase1);
+}
+BENCHMARK(BM_Rpmtn);
 
 void BM_FrankWolfeLp1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -196,11 +208,7 @@ void run_lp2(benchmark::State& state, const core::Instance& inst,
     phase1 += res.simplex_phase1_iterations;
     benchmark::DoNotOptimize(res.t_fractional);
   }
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["pivots"] =
-      benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["phase1_pivots"] =
-      benchmark::Counter(static_cast<double>(phase1) / iters);
+  report_pivots(state, pivots, phase1);
 }
 
 void BM_Lp2ChainsPipeline(benchmark::State& state) {

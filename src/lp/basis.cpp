@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "lp/pricing.hpp"
 #include "lp/simplex.hpp"
 #include "util/check.hpp"
 #include "util/simd.hpp"
@@ -152,27 +151,6 @@ StandardForm build_standard_form(const Problem& p) {
     }
   }
 
-  // CSR mirror of the CSC matrix (count / prefix-sum / fill). Scanning
-  // columns in ascending order keeps each row's column list sorted.
-  sf.row_ptr.assign(static_cast<std::size_t>(m) + 1, 0);
-  for (const int r : sf.col_row) ++sf.row_ptr[static_cast<std::size_t>(r) + 1];
-  for (int r = 0; r < m; ++r) {
-    sf.row_ptr[static_cast<std::size_t>(r) + 1] +=
-        sf.row_ptr[static_cast<std::size_t>(r)];
-  }
-  sf.row_col.assign(static_cast<std::size_t>(nnz), 0);
-  sf.row_val.assign(static_cast<std::size_t>(nnz), 0.0);
-  std::vector<int> row_next(sf.row_ptr.begin(), sf.row_ptr.end() - 1);
-  for (int j = 0; j < sf.n_total; ++j) {
-    for (int k = sf.col_ptr[static_cast<std::size_t>(j)];
-         k < sf.col_ptr[static_cast<std::size_t>(j) + 1]; ++k) {
-      const int r = sf.col_row[static_cast<std::size_t>(k)];
-      const int at = row_next[static_cast<std::size_t>(r)]++;
-      sf.row_col[static_cast<std::size_t>(at)] = j;
-      sf.row_val[static_cast<std::size_t>(at)] =
-          sf.col_val[static_cast<std::size_t>(k)];
-    }
-  }
   return sf;
 }
 
@@ -465,36 +443,23 @@ namespace {
 // factorization instead of maintained in a dense arena (the dense tableau
 // survives only as the differential oracle under tests/).
 //
-// Under Dantzig pricing, reduced costs are exact each iteration (recomputed
-// from BTRAN, never incrementally drifted) and the candidate list is a
-// partial-pricing shortlist re-priced per iteration — the historical
-// behavior, preserved bit for bit. Under Devex pricing the engine switches
-// to the textbook incremental scheme: reduced costs live in d_ and are
-// updated per pivot from the pivot row alpha = rho^T A (one sparse BTRAN of
-// e_leave plus a CSR sweep of rho's support), which also feeds the
-// reference-weight updates. Incremental d_ can drift, so every claim that
-// matters is re-derived exactly: the shortlist running dry triggers an
-// exact recompute before optimality is declared, Bland iterations recompute
-// exactly (keeping the anti-cycling termination argument), and each
-// refactorization squashes d_ along with the objective.
+// Pricing is Dantzig's rule. Reduced costs are exact each iteration
+// (recomputed from one BTRAN of c_B, never incrementally drifted), and the
+// candidate list is a partial-pricing shortlist re-priced per iteration;
+// a full rescan runs only when it runs dry, and finding nothing then is
+// the optimality certificate.
 class RevisedSimplex {
  public:
-  RevisedSimplex(const StandardForm& sf, double tol, PricingRule rule)
+  RevisedSimplex(const StandardForm& sf, double tol)
       : sf_(sf),
         tol_(tol),
         piv_tol_(std::max(tol, kPivotTol)),
-        rule_(rule),
         fact_(sf, std::max(tol, kPivotTol)) {
     basic_pos_.assign(static_cast<std::size_t>(sf_.n_total), -1);
     w_.resize(sf_.m);
     rho_.resize(sf_.m);
     y_.assign(static_cast<std::size_t>(sf_.m), 0.0);
     support_.reserve(static_cast<std::size_t>(sf_.m));
-    if (rule_ != PricingRule::Dantzig) {
-      d_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
-      alpha_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
-      alpha_mark_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-    }
   }
 
   /// Factorize `cols` as the basis and recompute x_B. False when singular.
@@ -537,21 +502,14 @@ class RevisedSimplex {
     for (int j = 0; j < lim; ++j) cost_[static_cast<std::size_t>(j)] = c[j];
     allow_limit_ = allow_limit;
     obj_ = basic_objective();
-    if (rule_ == PricingRule::Dantzig) {
-      compute_y();
-      rebuild_candidates();
-    } else {
-      // Each phase opens a fresh reference framework: all weights 1 over
-      // the current nonbasic set.
-      weights_.reset(sf_.n_total);
-      refresh_reduced_costs();
-    }
+    compute_y();
+    rebuild_candidates();
   }
 
   double objective() const { return obj_; }
 
   /// The objective recomputed from the basis, squashing incremental drift
-  /// (the lazy shortlist updates make obj_ advisory between
+  /// (pivot() advances obj_ by d_enter * theta, so it is advisory between
   /// refactorizations). Feasibility verdicts must read this, never obj_.
   double exact_objective() {
     obj_ = basic_objective();
@@ -560,49 +518,25 @@ class RevisedSimplex {
 
   // One revised iteration. 0 = optimal, 1 = pivoted, 2 = unbounded,
   // -1 = numerical trouble (refactorization of the current basis failed).
-  // `exact_retry` marks the one re-entry the unbounded verdict makes after
-  // refreshing the Devex reduced costs (see the ratio test below).
-  int iterate(bool bland, bool exact_retry = false) {
+  int iterate(bool bland) {
     int enter = -1;
     double d_enter = 0.0;
-    if (rule_ == PricingRule::Dantzig) {
-      compute_y();
-      if (bland) {
-        for (int j = 0; j < allow_limit_; ++j) {
-          if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-          const double d = reduced_cost(j);
-          if (d < -tol_) {
-            enter = j;
-            d_enter = d;
-            break;
-          }
-        }
-      } else {
-        enter = price_candidates(&d_enter);
-        if (enter < 0) {
-          rebuild_candidates();
-          enter = price_candidates(&d_enter);
-        }
-      }
-    } else if (bland) {
-      // Bland's least-index rule must see exact reduced costs, or the
-      // anti-cycling termination argument is void.
-      refresh_reduced_costs();
+    compute_y();
+    if (bland) {
       for (int j = 0; j < allow_limit_; ++j) {
         if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-        if (d_[static_cast<std::size_t>(j)] < -tol_) {
+        const double d = reduced_cost(j);
+        if (d < -tol_) {
           enter = j;
-          d_enter = d_[static_cast<std::size_t>(j)];
+          d_enter = d;
           break;
         }
       }
     } else {
-      enter = price_weighted(&d_enter);
+      enter = price_candidates(&d_enter);
       if (enter < 0) {
-        // Shortlist dry: recompute exactly before concluding anything.
-        // Finding nothing after this rescan is the optimality certificate.
-        refresh_reduced_costs();
-        enter = price_weighted(&d_enter);
+        rebuild_candidates();
+        enter = price_candidates(&d_enter);
       }
     }
     if (enter < 0) return 0;
@@ -643,17 +577,9 @@ class RevisedSimplex {
     }
     if (leave < 0) {
       w_.clear();
-      // Devex chose the column from incrementally maintained reduced
-      // costs. An unbounded verdict must rest on exact ones, so refresh
-      // them and price once more before believing it; only a column that
-      // is still improving with no leaving row is unbounded.
-      if (rule_ == PricingRule::Dantzig || exact_retry) return 2;
-      refresh_reduced_costs();
-      return iterate(bland, true);
+      return 2;
     }
-    if (rule_ != PricingRule::Dantzig) update_incremental(enter, leave, d_enter);
-    const int ret = pivot(leave, enter, d_enter) ? 1 : -1;
-    return ret;
+    return pivot(leave, enter, d_enter) ? 1 : -1;
   }
 
   // After phase 1: drive basic artificials out where a real column can take
@@ -819,212 +745,6 @@ class RevisedSimplex {
     return enter;
   }
 
-  // ---- Devex path (incremental reduced costs).
-
-  // Exact reset of d_ and the improving-candidate list from one BTRAN plus
-  // a full column sweep. Optimality, Bland selections and unbounded
-  // verdicts are decided on d_ straight after this runs, so drift in the
-  // incremental updates can slow the path but never corrupt a verdict.
-  void refresh_reduced_costs() {
-    compute_y();
-    cand_.clear();
-    in_cand_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-    for (int j = 0; j < sf_.n_total; ++j) {
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) {
-        d_[static_cast<std::size_t>(j)] = 0.0;
-        continue;
-      }
-      const double d = reduced_cost(j);
-      d_[static_cast<std::size_t>(j)] = d;
-      if (j < allow_limit_ && d < -tol_) {
-        cand_.push_back(j);
-        in_cand_[static_cast<std::size_t>(j)] = 1;
-      }
-    }
-    need_refresh_ = false;
-    stale_ = false;
-  }
-
-  // Max of d_j^2 / w_j over the shortlist, compacting out stale members.
-  // Ties break to the lowest index for determinism.
-  int price_weighted(double* d_enter) {
-    if (need_refresh_) refresh_reduced_costs();
-    int enter = -1;
-    double best_score = 0.0;
-    double best_d = 0.0;
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const int j = cand_[k];
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      const double d = d_[static_cast<std::size_t>(j)];
-      if (!(d < -tol_)) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      cand_[w++] = j;
-      const double s = weights_.score(j, d);
-      if (enter < 0 || s > best_score || (s == best_score && j < enter)) {
-        best_score = s;
-        best_d = d;
-        enter = j;
-      }
-    }
-    cand_.resize(w);
-    *d_enter = best_d;
-    return enter;
-  }
-
-  // Per-pivot maintenance of d_ and the reference weights, run before the
-  // basis changes (it needs the pre-pivot factorization, basis_ and w_).
-  // The pivot row alpha = rho^T A comes from a sparse BTRAN of e_leave and
-  // a sweep of the CSR rows where rho is nonzero — the payoff of carrying
-  // the matrix in both orientations.
-  void update_incremental(int enter, int leave, double d_enter) {
-    const double piv = w_.val[static_cast<std::size_t>(leave)];
-    const int leave_col = basis_[static_cast<std::size_t>(leave)];
-    rho_.clear();
-    rho_.insert(leave, 1.0);
-    fact_.btran(rho_);
-
-    // Two ways to reach every column this pivot must touch. The exact row
-    // sweep walks the CSR rows of rho's support, updating *all* columns in
-    // the pivot row (textbook Devex, and it discovers newly improving
-    // columns immediately). Its cost is the summed CSR support —
-    // ruinous when rho touches a dense row (LP1's machine-load rows carry
-    // ~n entries each, turning every such pivot into an O(n·m) sweep). The
-    // lazy path instead updates only the current shortlist by one short
-    // column dot with rho each, leaving off-shortlist reduced costs stale
-    // until the next exact refresh (a dry shortlist, a refactorization, a
-    // self-check mismatch). That is safe because of two invariants: every
-    // verdict (optimality, Bland, unbounded) is decided on exact reduced
-    // costs, and once a lazy update has run the exact sweep keeps updating
-    // d_ and the weights but admits no new column to the shortlist until
-    // that refresh — a stale d_ pushed below -tol would otherwise be picked
-    // as entering, pivot uselessly or fake an unbounded ray. Shortlist
-    // members stay exact by induction on both paths. Pick whichever path
-    // costs less this pivot.
-    std::int64_t row_work = 0;
-    if (rho_.dense) {
-      row_work = sf_.row_ptr[static_cast<std::size_t>(sf_.m)];
-    } else {
-      for (const int r : rho_.idx) {
-        row_work += sf_.row_ptr[static_cast<std::size_t>(r) + 1] -
-                    sf_.row_ptr[static_cast<std::size_t>(r)];
-      }
-    }
-    const std::int64_t avg_col_nnz = std::max<std::int64_t>(
-        1, sf_.col_ptr[static_cast<std::size_t>(sf_.n_total)] / sf_.n_total);
-    const std::int64_t lazy_work =
-        static_cast<std::int64_t>(cand_.size()) * avg_col_nnz;
-    // The factor leans heavily toward the exact sweep: its better weights
-    // and immediate candidate discovery usually repay a mildly pricier
-    // pivot, so lazy only engages when the row sweep is out of all
-    // proportion (a near-dense pivot row against a short shortlist).
-    if (row_work > 8 * lazy_work) {
-      update_lazy(enter, leave_col, piv, d_enter);
-      return;
-    }
-
-    alpha_supp_.clear();
-    auto alpha_add = [&](int r, double x) {
-      if (x == 0.0) return;
-      for (int k = sf_.row_ptr[static_cast<std::size_t>(r)];
-           k < sf_.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
-        const int j = sf_.row_col[static_cast<std::size_t>(k)];
-        if (!alpha_mark_[static_cast<std::size_t>(j)]) {
-          alpha_mark_[static_cast<std::size_t>(j)] = 1;
-          alpha_[static_cast<std::size_t>(j)] = 0.0;
-          alpha_supp_.push_back(j);
-        }
-        alpha_[static_cast<std::size_t>(j)] +=
-            x * sf_.row_val[static_cast<std::size_t>(k)];
-      }
-    };
-    if (rho_.dense) {
-      for (int r = 0; r < sf_.m; ++r) {
-        alpha_add(r, rho_.val[static_cast<std::size_t>(r)]);
-      }
-    } else {
-      for (const int r : rho_.idx) {
-        alpha_add(r, rho_.val[static_cast<std::size_t>(r)]);
-      }
-    }
-    rho_.clear();
-
-    const double entering_weight = weights_[enter];
-    const double mult = d_enter / piv;
-    for (const int j : alpha_supp_) {
-      alpha_mark_[static_cast<std::size_t>(j)] = 0;
-      const double a = alpha_[static_cast<std::size_t>(j)];
-      if (j == enter || a == 0.0 ||
-          basic_pos_[static_cast<std::size_t>(j)] >= 0) {
-        continue;
-      }
-      double& d = d_[static_cast<std::size_t>(j)];
-      d -= mult * a;
-      weights_.note_devex(j, a / piv, entering_weight);
-      if (!stale_ && j < allow_limit_ && d < -tol_ &&
-          !in_cand_[static_cast<std::size_t>(j)]) {
-        cand_.push_back(j);
-        in_cand_[static_cast<std::size_t>(j)] = 1;
-      }
-    }
-    // The leaving variable turns nonbasic with reduced cost -d_enter/piv
-    // (>= 0 here: d_enter < 0, piv > 0), the entering one turns basic.
-    d_[static_cast<std::size_t>(leave_col)] = -mult;
-    d_[static_cast<std::size_t>(enter)] = 0.0;
-    weights_.set_leaving(leave_col, entering_weight, piv);
-    if (weights_.needs_reset()) weights_.reset(sf_.n_total);
-    // Self-check: alpha_enter must reproduce the FTRAN pivot element. A
-    // material mismatch means the file has drifted; schedule an exact
-    // refresh rather than keep compounding.
-    const double alpha_enter = alpha_[static_cast<std::size_t>(enter)];
-    if (std::fabs(alpha_enter - piv) >
-        1e-7 * std::max(1.0, std::fabs(piv))) {
-      need_refresh_ = true;
-    }
-  }
-
-  // Shortlist-only pivot maintenance: alpha_j = rho^T a_j per candidate
-  // (rho_ holds B^{-T} e_leave; its dense backing array is valid in both
-  // sparse and dense modes). Shortlist members keep exact reduced costs by
-  // induction — d_enter was itself a shortlist value — while columns
-  // outside it go stale: their d_ misses this pivot's update for good, so
-  // stale_ bars them from the shortlist until refresh_reduced_costs()
-  // recomputes every d_ from scratch. Weight updates likewise cover the
-  // shortlist only: an off-shortlist weight frozen at its reference value
-  // can only make that column look *more* attractive later, which degrades
-  // the path toward Dantzig, never the answer.
-  void update_lazy(int enter, int leave_col, double piv, double d_enter) {
-    stale_ = true;
-    const double mult = d_enter / piv;
-    const double entering_weight = weights_[enter];
-    double alpha_enter = 0.0;
-    for (const int j : cand_) {
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-      const double a = dot_col(rho_.val, j);
-      if (j == enter) {
-        alpha_enter = a;
-        continue;
-      }
-      if (a == 0.0) continue;
-      d_[static_cast<std::size_t>(j)] -= mult * a;
-      weights_.note_devex(j, a / piv, entering_weight);
-    }
-    rho_.clear();
-    d_[static_cast<std::size_t>(leave_col)] = -mult;
-    d_[static_cast<std::size_t>(enter)] = 0.0;
-    weights_.set_leaving(leave_col, entering_weight, piv);
-    if (weights_.needs_reset()) weights_.reset(sf_.n_total);
-    if (std::fabs(alpha_enter - piv) >
-        1e-7 * std::max(1.0, std::fabs(piv))) {
-      need_refresh_ = true;
-    }
-  }
-
   // Commit the pivot: update x_B, swap the basis, append the update eta and
   // refactorize on schedule. False = the scheduled refactorization found the
   // basis numerically singular (the solve reports NumericalFailure).
@@ -1048,10 +768,6 @@ class RevisedSimplex {
     if (fact_.etas_since_refactor() >= refactor_interval()) {
       if (!install(basis_)) return false;
       obj_ = basic_objective();  // squash incremental drift
-      // d_ drifts on the same schedule as the objective: squash it too.
-      if (rule_ != PricingRule::Dantzig && !cost_.empty()) {
-        refresh_reduced_costs();
-      }
     }
     return true;
   }
@@ -1059,7 +775,6 @@ class RevisedSimplex {
   const StandardForm& sf_;
   double tol_;
   double piv_tol_;
-  PricingRule rule_;
   BasisFactorization fact_;
   std::vector<int> basis_;       // basic column per row
   std::vector<int> basic_pos_;   // column -> row, -1 when nonbasic
@@ -1070,19 +785,9 @@ class RevisedSimplex {
   std::vector<int> cand_;        // pricing shortlist (improving columns)
   std::vector<char> in_cand_;
   ScatteredVec w_;               // scratch: FTRAN'd entering column
-  ScatteredVec rho_;             // scratch: BTRAN'd pivot row e_leave
-  std::vector<double> y_;        // scratch: BTRAN'd pricing row (exact path)
+  ScatteredVec rho_;             // scratch: BTRAN'd e_r (expel_artificials)
+  std::vector<double> y_;        // scratch: BTRAN'd pricing row
   std::vector<int> support_;     // scratch: nonzero rows of w_
-  // Devex state.
-  pricing::ReferenceWeights weights_;
-  std::vector<double> d_;        // incrementally maintained reduced costs
-  std::vector<double> alpha_;    // scratch: pivot row over columns
-  std::vector<char> alpha_mark_;
-  std::vector<int> alpha_supp_;
-  bool need_refresh_ = false;
-  // Off-shortlist d_ entries missed a lazy update since the last exact
-  // refresh: the exact sweep must not admit them to the shortlist.
-  bool stale_ = false;
   // FTRAN telemetry for the perf benches (sparsity of entering columns).
   std::int64_t ftran_calls_ = 0;
   std::int64_t ftran_nnz_ = 0;
@@ -1099,7 +804,7 @@ class RevisedSimplex {
 Solution solve_revised(const Problem& p, const StandardForm& sf,
                        const SimplexOptions& opt) {
   Solution sol;
-  RevisedSimplex rs(sf, opt.tol, opt.pricing);
+  RevisedSimplex rs(sf, opt.tol);
   const int m = sf.m;
   const int n = sf.n_total;
   const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);
@@ -1142,9 +847,9 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
     rs.load_objective(phase1, n);
     const int res = run_phase();
     if (res == -1 || res == 2) {
-      // Phase 1 is bounded below by zero, and iterate() reports unbounded
-      // only on exact reduced costs, so this can only be a numerically
-      // corrupted factorization.
+      // Phase 1 is bounded below by zero, and iterate() prices on exact
+      // reduced costs, so this can only be a numerically corrupted
+      // factorization.
       sol.phase1_iterations = iters;
       return failure();
     }

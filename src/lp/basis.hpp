@@ -24,8 +24,8 @@
 // Solution::basis from either is a valid SimplexOptions::seed_basis.
 // solve_revised never returns a wrong answer on numerical trouble: it
 // returns Status::NumericalFailure, which callers surface as an error.
-// Pricing verdicts rest on exact reduced costs, so a well-posed solve never
-// reports it.
+// Dantzig pricing recomputes the reduced costs it compares from a fresh
+// BTRAN every iteration, so a well-posed solve never reports it.
 #pragma once
 
 #include <algorithm>
@@ -68,18 +68,12 @@ struct StandardForm {
   int art_begin = 0;  ///< first artificial column (== n_total when none)
   std::vector<double> rhs;     ///< size m, >= 0
   std::vector<int> init_basis; ///< size m: initial basic column per row
-  // Constraint matrix over all n_total columns, stored twice: compressed
-  // sparse column (FTRAN loads, reduced-cost dots) and compressed sparse
-  // row (the revised engine's pivot row alpha = rho^T A, which walks the
-  // rows where rho is nonzero instead of dotting every column). Rows within
-  // a column and columns within a row are in increasing order; structural
-  // zeros dropped.
+  // Constraint matrix over all n_total columns in compressed sparse column
+  // form (FTRAN loads, reduced-cost dots, refactorization). Rows within a
+  // column are in increasing order; structural zeros dropped.
   std::vector<int> col_ptr;  ///< size n_total + 1
   std::vector<int> col_row;
   std::vector<double> col_val;
-  std::vector<int> row_ptr;  ///< size m + 1
-  std::vector<int> row_col;
-  std::vector<double> row_val;
 
   int col_nnz(int j) const {
     return col_ptr[static_cast<std::size_t>(j) + 1] -
@@ -211,7 +205,7 @@ class BasisFactorization {
 };
 
 /// Solve the standard form with the revised engine, honoring every
-/// SimplexOptions field (tol, max_iters, verify, seed_basis, pricing).
+/// SimplexOptions field (tol, max_iters, verify, seed_basis).
 /// Returns Status::NumericalFailure instead of a wrong answer when the
 /// factorization degrades (singular refactorization, an "unbounded"
 /// phase 1, verification failure).

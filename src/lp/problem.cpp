@@ -36,16 +36,6 @@ std::string to_string(Status s) {
   return "?";
 }
 
-std::string to_string(PricingRule r) {
-  switch (r) {
-    case PricingRule::Dantzig:
-      return "dantzig";
-    case PricingRule::Devex:
-      return "devex";
-  }
-  return "?";
-}
-
 double max_violation(const Problem& p, const std::vector<double>& x) {
   SUU_CHECK(static_cast<int>(x.size()) == p.num_vars);
   double worst = 0.0;

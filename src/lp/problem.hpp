@@ -48,16 +48,6 @@ enum class Status {
 
 std::string to_string(Status s);
 
-/// Entering-variable pricing rule (lp/pricing.hpp). Dantzig picks the most
-/// negative reduced cost. Devex weighs reduced costs by approximate edge
-/// norms, trading a little per-pivot bookkeeping for fewer pivots on
-/// programs whose columns differ widely in scale. The rule is fixed per
-/// program class: LP1 (rounding/lp1.cpp) passes Dantzig, which wins on
-/// every LP1 measured; every other program runs the Devex default.
-enum class PricingRule { Dantzig, Devex };
-
-std::string to_string(PricingRule r);
-
 struct Solution {
   Status status = Status::IterLimit;
   double objective = 0.0;

@@ -4,9 +4,11 @@
 //
 // One engine: the revised simplex over an eta-file basis factorization
 // (lp/basis.hpp), with FTRAN/BTRAN per pivot and periodic refactorization.
-// It starts from an optional seed basis (the LP1 and LP2 builders always
-// pass their crash bases) or from the slack/artificial basis of the
-// standard form.
+// It starts from an optional seed basis (LP1, LP2 and the
+// Lawler–Labetoulle LP always pass their crash bases) or from the
+// slack/artificial basis of the standard form, and prices entering columns
+// by Dantzig's rule (most negative reduced cost) over a partial-pricing
+// shortlist.
 // Numerical trouble is reported as Status::NumericalFailure, never papered
 // over by a re-solve; the differential tests hold it at zero against a
 // dense-tableau oracle that lives under tests/. A Bland's-rule fallback
@@ -78,6 +80,9 @@ int run_simplex_phase(Engine& eng, double tol, int iter_cap, int stall_cap,
 
 }  // namespace detail
 
+/// Tolerances, the iteration budget and the starting basis. Every program
+/// is priced by Dantzig's rule; each caller with a crash basis passes it as
+/// seed_basis.
 struct SimplexOptions {
   double tol = 1e-9;        ///< feasibility / reduced-cost tolerance
   int max_iters = 0;        ///< 0 = automatic (scales with problem size)
@@ -88,13 +93,6 @@ struct SimplexOptions {
   /// that does not fit (wrong size, singular, or an infeasible vertex) is
   /// dropped and the solve starts cold. Empty = cold start.
   std::vector<int> seed_basis;
-  /// Entering-variable pricing rule (lp/pricing.hpp), fixed per program
-  /// class: the crash-started programs, LP1 (rounding/lp1.cpp) and LP2
-  /// (rounding/lp2.cpp), pass Dantzig; cold programs keep Devex.
-  /// Both rules reach the same verdict and objective — pricing changes the
-  /// pivot path, never the answer (the differential oracle crosses both
-  /// rules to enforce it).
-  PricingRule pricing = PricingRule::Devex;
 };
 
 /// Solve `min c·x, rows, x >= 0`. On Status::Optimal the returned point is

@@ -26,11 +26,9 @@ void check_jobs(const core::Instance& inst, const std::vector<int>& jobs) {
 }
 
 Lp1Fractional solve_with_simplex(Lp1Program prog) {
-  // Dantzig pricing for this program class: from the crash basis it beats
-  // Devex on every LP1 measured (BM_Lp1Pricing).
+  // From the crash basis the solve skips phase 1.
   lp::SimplexOptions sopt;
   sopt.seed_basis = std::move(prog.crash_basis);
-  sopt.pricing = lp::PricingRule::Dantzig;
   const lp::Solution sol = lp::solve_simplex(prog.problem, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP1 solve failed: " << lp::to_string(sol.status));

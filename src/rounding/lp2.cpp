@@ -150,13 +150,8 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
   const std::vector<int>& d_var = prog.d_var;
   const auto& var_of = prog.var_of;
   const int t_var = prog.t_var;
-  // Dantzig pricing for this program class. From the crash basis it solves
-  // the forest lower bound's all-blocks LP2 (BM_Lp2ForestLowerBound) ~3x
-  // faster than Devex; on chains Devex is up to ~2x faster, but those
-  // solves take milliseconds either way.
   lp::SimplexOptions sopt;
   sopt.seed_basis = std::move(prog.crash_basis);
-  sopt.pricing = lp::PricingRule::Dantzig;
   const lp::Solution sol = lp::solve_simplex(prog.problem, sopt);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP2 solve failed: " << lp::to_string(sol.status));

@@ -1,14 +1,14 @@
 // The dense two-phase tableau simplex, kept as the differential oracle the
 // revised engine (lp/basis.hpp, libsuu's only simplex) is tested against:
-// test_lp_differential, test_simplex, test_lp_pricing and
+// test_lp_differential, test_simplex, test_lp_crash_start, test_stoch and
 // test_lp2_chains_differential compare verdicts and objectives with it.
 //
 // It solves the same standard form (lp::build_standard_form) through the
 // same anti-cycling driver (lp::detail::run_simplex_phase), but keeps the
 // whole B^{-1}A explicit in a flat row-major arena and pays O(m·n) per
 // pivot. solve_tableau ignores SimplexOptions::seed_basis (every solve
-// starts cold) and runs Dantzig pricing unless the caller passes options
-// naming another rule. It is test code: nothing in libsuu links it.
+// starts cold) and prices with Dantzig's rule, the engine's only rule. It
+// is test code: nothing in libsuu links it.
 #pragma once
 
 #include <algorithm>
@@ -24,7 +24,6 @@
 #endif
 
 #include "lp/basis.hpp"
-#include "lp/pricing.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "util/check.hpp"
@@ -112,9 +111,8 @@ class Tableau {
   // The shared standard form (lp/basis.hpp) reproduces this engine's
   // historical normalization bit for bit, so scattering its sparse columns
   // into the arena builds the exact tableau the old inline construction did.
-  Tableau(const StandardForm& sf, double tol,
-          PricingRule rule = PricingRule::Dantzig)
-      : tol_(tol), piv_tol_(std::max(tol, kPivotTol)), rule_(rule) {
+  Tableau(const StandardForm& sf, double tol)
+      : tol_(tol), piv_tol_(std::max(tol, kPivotTol)) {
     m_ = sf.m;
     n_orig_ = sf.n_orig;
     n_total_ = sf.n_total;
@@ -165,9 +163,6 @@ class Tableau {
       cost_obj_ -= cb * rhs_[r];
     }
     allow_limit_ = allow_limit;
-    // Each objective load opens a fresh reference framework for the
-    // weighted pricing rules (weights stay inactive for Dantzig).
-    if (rule_ != PricingRule::Dantzig) weights_.reset(n_total_);
     rebuild_candidates();
   }
 
@@ -188,16 +183,14 @@ class Tableau {
         }
       }
     } else {
-      enter = rule_ == PricingRule::Dantzig ? price_candidates()
-                                            : price_candidates_weighted();
+      enter = price_candidates();
       if (enter < 0) {
         // Candidate list exhausted: fall back to one full pricing scan.
         // The incremental maintenance is exact, so this finds a column only
         // if floating-point drift desynchronized the list; finding none
         // certifies optimality.
         rebuild_candidates();
-        enter = rule_ == PricingRule::Dantzig ? price_candidates()
-                                              : price_candidates_weighted();
+        enter = price_candidates();
       }
     }
     if (enter < 0) return 0;
@@ -280,16 +273,6 @@ class Tableau {
         cost_obj_ -= fc * rhs_[r];
       }
     }
-    if (rule_ != PricingRule::Dantzig && weights_.active() && !cost_.empty()) {
-      // Devex bookkeeping: the scaled pivot row IS the ratio
-      // alpha_rj / alpha_rq the weight recurrence wants.
-      const double wq = weights_[enter];
-      for (const int j : support_) {
-        if (j != enter) weights_.note_devex(j, pr[j], wq);
-      }
-      weights_.set_leaving(basis_[r], wq, piv);
-      if (weights_.needs_reset()) weights_.reset(n_total_);
-    }
     basis_[r] = enter;
   }
 
@@ -363,31 +346,6 @@ class Tableau {
     return enter;
   }
 
-  // Weighted variant: max of cost_j^2 / w_j over the candidate list (the
-  // tableau's reduced costs are maintained exactly, so no refresh step is
-  // needed). Ties break to the lowest index for determinism.
-  int price_candidates_weighted() {
-    int enter = -1;
-    double best_score = 0.0;
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const int j = cand_[k];
-      const double c = cost_[j];
-      if (!(c < -tol_)) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;  // stale: drop
-      }
-      cand_[w++] = j;
-      const double s = weights_.score(j, c);
-      if (enter < 0 || s > best_score || (s == best_score && j < enter)) {
-        best_score = s;
-        enter = j;
-      }
-    }
-    cand_.resize(w);
-    return enter;
-  }
-
   double tol_;
   double piv_tol_;
   int m_ = 0;
@@ -406,20 +364,11 @@ class Tableau {
   std::vector<int> cand_;      // improving columns (exact, lazily compacted)
   std::vector<char> in_cand_;  // j is somewhere in cand_
   std::vector<int> support_;   // scratch: pivot-row nonzero columns
-  PricingRule rule_ = PricingRule::Dantzig;
-  pricing::ReferenceWeights weights_;        // active for Devex
 };
-
-/// The oracle's default options: Dantzig pricing.
-inline SimplexOptions dantzig_options() {
-  SimplexOptions opt;
-  opt.pricing = PricingRule::Dantzig;
-  return opt;
-}
 
 /// Solve `min c·x, rows, x >= 0` on the dense tableau (cold start).
 inline Solution solve_tableau(const Problem& p,
-                              const SimplexOptions& opt = dantzig_options()) {
+                              const SimplexOptions& opt = {}) {
   Solution sol;
   if (p.num_vars == 0) {
     // Trivially optimal iff every row is satisfied by x = {}.
@@ -435,7 +384,7 @@ inline Solution solve_tableau(const Problem& p,
   }
 
   const StandardForm sf = build_standard_form(p);
-  Tableau tab(sf, opt.tol, opt.pricing);
+  Tableau tab(sf, opt.tol);
   const int m = tab.rows();
   const int n = tab.cols();
   const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);

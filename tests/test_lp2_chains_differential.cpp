@@ -1,12 +1,11 @@
 // LP2 chains oracle (labelled `differential` in ctest): the LP2 relaxation
 // of make_chains(nc, 2, 5, 4) instances, written out independently and
-// solved cold, must reach Optimal under every pricing rule — never
-// NumericalFailure, which the revised engine's Devex path once hit on most
-// 32+-chain instances when it priced off stale incremental reduced costs —
-// and every rule must reach the default path's fractional optimum t*. The
-// default path (solve_and_round_lp2) starts from the crash basis of
-// rounding::build_lp2_program and prices with Dantzig; it must skip phase 1
-// on every instance here, chains, forests and hand-built edge cases alike.
+// solved cold, must reach Optimal — never NumericalFailure, which the
+// revised engine once hit on most 32+-chain instances when it priced off
+// stale incremental reduced costs — at the default path's fractional
+// optimum t*. The default path (solve_and_round_lp2) starts from the crash
+// basis of rounding::build_lp2_program; it must skip phase 1 on every
+// instance here, chains, forests and hand-built edge cases alike.
 // Where the dense tableau oracle (tests/lp_tableau_oracle.hpp) is cheap
 // enough, t* must also equal its objective.
 #include <cmath>
@@ -76,9 +75,7 @@ lp::Problem lp2_program(const core::Instance& inst,
   return p;
 }
 
-TEST(Lp2ChainsDifferential, EveryRuleOptimalAndMatchesTheOracle) {
-  const lp::PricingRule rules[] = {lp::PricingRule::Dantzig,
-                                   lp::PricingRule::Devex};
+TEST(Lp2ChainsDifferential, ColdSolveOptimalAndMatchesTheOracle) {
   for (const int nc : {16, 32, 64}) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       util::Rng rng(seed);
@@ -88,25 +85,18 @@ TEST(Lp2ChainsDifferential, EveryRuleOptimalAndMatchesTheOracle) {
       const lp::Problem program = lp2_program(inst, chains);
       const std::string at = "chains=" + std::to_string(nc) +
                              " seed=" + std::to_string(seed);
-      // The default path (crash basis, Dantzig) throws on anything but
-      // Optimal and runs no phase 1. The cold solves below run both rules:
-      // Devex is the rule of every cold program, Dantzig that of every
-      // crash-started one.
+      // The default path (crash basis) throws on anything but Optimal and
+      // runs no phase 1; the cold solve must reach the same t*.
       const rounding::Lp2Result res =
           rounding::solve_and_round_lp2(inst, chains);
       EXPECT_EQ(res.simplex_phase1_iterations, 0)
           << at << ": the crash basis did not install";
       const double reference = res.t_fractional;
-      for (const lp::PricingRule rule : rules) {
-        const std::string ctx = at + " pricing=" + lp::to_string(rule);
-        lp::SimplexOptions opt;
-        opt.pricing = rule;
-        const lp::Solution sol = lp::solve_simplex(program, opt);
-        ASSERT_EQ(sol.status, lp::Status::Optimal)
-            << ctx << ": " << lp::to_string(sol.status);
-        EXPECT_NEAR(sol.objective, reference, 1e-9 * std::fabs(reference))
-            << ctx;
-      }
+      const lp::Solution sol = lp::solve_simplex(program);
+      ASSERT_EQ(sol.status, lp::Status::Optimal)
+          << at << ": " << lp::to_string(sol.status);
+      EXPECT_NEAR(sol.objective, reference, 1e-9 * std::fabs(reference))
+          << at;
       if (nc == 16) {
         const lp::Solution ref = lp::oracle::solve_tableau(program);
         ASSERT_EQ(ref.status, lp::Status::Optimal) << at;

@@ -1,8 +1,8 @@
 // Differential oracle for the simplex (labelled `differential` in ctest):
 // property-based random LP generation — LP1/LP2-shaped programs, fully
 // random mixed-relation programs, degenerate and near-singular
-// constructions — solved by libsuu's revised engine under every pricing
-// rule AND by the dense tableau oracle (tests/lp_tableau_oracle.hpp), with
+// constructions — solved by libsuu's revised engine, cold and from a seed
+// basis, AND by the dense tableau oracle (tests/lp_tableau_oracle.hpp), with
 // matching verdicts required, zero NumericalFailure results, and every
 // claimed optimum re-checked against the constraints directly. This suite
 // is the merge gate for any future solver rewrite: a numerically different
@@ -241,25 +241,13 @@ double problem_scale(const Problem& p) {
 
 TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
   const int total = instance_budget();
-  // The tableau oracle under Dantzig is the reference; the oracle under
-  // Devex and the revised engine under both rules must match it. Pricing
-  // changes the pivot path, never the verdict or the optimum — this is the
-  // oracle that enforces it.
-  struct Cell {
-    bool oracle;  // dense tableau (tests/) instead of lp::solve_simplex
-    PricingRule rule;
-  };
-  const Cell cells[] = {
-      {true, PricingRule::Dantzig},
-      {true, PricingRule::Devex},
-      {false, PricingRule::Dantzig},
-      {false, PricingRule::Devex},
-  };
-  auto solve = [](const Problem& p, const Cell& cell) {
-    SimplexOptions opt;
-    opt.pricing = cell.rule;
-    return cell.oracle ? oracle::solve_tableau(p, opt) : solve_simplex(p, opt);
-  };
+  // The tableau oracle is the reference. The revised engine must match it
+  // twice: cold, and seeded with the oracle's optimal basis (a seed that
+  // does not fit — an artificial left basic on a redundant row, or no
+  // basis at all off an Optimal verdict — is dropped and the solve starts
+  // cold). The starting basis changes the pivot path, never the verdict or
+  // the optimum — this is the oracle that enforces it.
+  const char* const cells[] = {"revised-cold", "revised-seeded"};
   int optimal = 0;
   int infeasible = 0;
   int unbounded = 0;
@@ -270,13 +258,13 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
     const std::string ctx =
         std::string("family=") + g.family + " i=" + std::to_string(i);
 
-    const Solution st = solve(g.p, cells[0]);
+    const Solution st = oracle::solve_tableau(g.p);
     const double feas_tol = 1e-6 * problem_scale(g.p);
-    for (std::size_t c = 1; c < std::size(cells); ++c) {
-      const Solution sr = solve(g.p, cells[c]);
-      const std::string cctx =
-          ctx + (cells[c].oracle ? " oracle" : " revised") +
-          " pricing=" + to_string(cells[c].rule);
+    for (std::size_t c = 0; c < std::size(cells); ++c) {
+      SimplexOptions opt;
+      if (c == 1) opt.seed_basis = st.basis;
+      const Solution sr = solve_simplex(g.p, opt);
+      const std::string cctx = ctx + " " + cells[c];
       // Every family, the degenerate and near-singular ones included, must
       // finish without a numerical failure: the engine has no fallback.
       if (sr.status == Status::NumericalFailure) {
@@ -345,67 +333,6 @@ TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
     EXPECT_EQ(hot.phase1_iterations, 0)
         << ctx << " (accepted seed must skip phase 1)";
   }
-}
-
-// Deterministic n=1024 LP1-shaped instance mirroring the BM_Lp1 bench
-// family (1024 jobs over 8 machines). Large enough that phase 1
-// dominates and the pricing rules genuinely diverge in path length.
-Problem gen_lp1_large(std::uint64_t seed, int n_jobs, int n_machines) {
-  util::Rng rng(seed);
-  Problem p;
-  const int t = p.add_var(1.0);
-  std::vector<Row> loads(static_cast<std::size_t>(n_machines));
-  for (int j = 0; j < n_jobs; ++j) {
-    Row cover;
-    cover.rel = Rel::Ge;
-    cover.rhs = 1.0;
-    for (int i = 0; i < n_machines; ++i) {
-      if (rng.bernoulli(0.2)) continue;  // incapable pair
-      const int v = p.add_var(0.0);
-      cover.terms.emplace_back(v, 0.05 + rng.uniform01());
-      loads[static_cast<std::size_t>(i)].terms.emplace_back(v, 1.0);
-    }
-    if (cover.terms.empty()) {
-      const int v = p.add_var(0.0);
-      cover.terms.emplace_back(v, 0.5);
-      loads[0].terms.emplace_back(v, 1.0);
-    }
-    p.add_row(std::move(cover));
-  }
-  for (int i = 0; i < n_machines; ++i) {
-    Row& load = loads[static_cast<std::size_t>(i)];
-    if (load.terms.empty()) continue;
-    load.terms.emplace_back(t, -1.0);
-    load.rel = Rel::Le;
-    load.rhs = 0.0;
-    p.add_row(std::move(load));
-  }
-  return p;
-}
-
-TEST(LpDifferential, DevexPivotsNoWorseThanDantzigOnLargeLp1) {
-  // The regression Devex pricing must never lose: on the n=1024 LP1
-  // family Devex takes no more pivots than Dantzig from a cold start. Both
-  // runs are fully deterministic (fixed seed, explicit rule, no seed basis,
-  // no LP1 crash basis since this calls solve_simplex directly), so this is
-  // an exact pin, not a statistical one.
-  const Problem p = gen_lp1_large(0xB16'1024ULL, 1024, 8);
-  SimplexOptions dantzig;
-  dantzig.pricing = PricingRule::Dantzig;
-  SimplexOptions devex = dantzig;
-  devex.pricing = PricingRule::Devex;
-
-  const Solution sd = solve_simplex(p, dantzig);
-  const Solution sv = solve_simplex(p, devex);
-  ASSERT_EQ(sd.status, Status::Optimal);
-  ASSERT_EQ(sv.status, Status::Optimal);
-  EXPECT_NEAR(sd.objective, sv.objective,
-              1e-9 * (1.0 + std::fabs(sd.objective)));
-  EXPECT_LE(sv.iterations, sd.iterations)
-      << "Devex took more pivots than Dantzig on the n=1024 LP1 family "
-         "(devex=" << sv.iterations << " dantzig=" << sd.iterations << ")";
-  std::cout << "[differential] n=1024 lp1 pivots: dantzig=" << sd.iterations
-            << " devex=" << sv.iterations << "\n";
 }
 
 // Note on SUU_LP_REFACTOR_INTERVAL coverage: the env override is read once

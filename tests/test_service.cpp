@@ -167,7 +167,7 @@ TEST(ServiceProtocol, ParamValidation) {
   // Removed inputs are rejected with a typed bad_params, never ignored:
   // the warm_start option, the lp_engine option (one simplex engine
   // remains), and the lp1_solver and lp_pricing options (the code picks
-  // the LP1 solver by size and the pricing rule by program class) no
+  // the LP1 solver by size, and the engine has one pricing rule) no
   // longer exist.
   const auto bad_params_message = [](const std::string& params) {
     try {

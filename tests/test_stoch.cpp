@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iostream>
+#include <string>
+#include <vector>
 
+#include "lp/problem.hpp"
+#include "lp_tableau_oracle.hpp"
 #include "stoch/bvn.hpp"
 #include "stoch/instance.hpp"
 #include "stoch/lawler_labetoulle.hpp"
@@ -162,6 +169,192 @@ TEST(LawlerLabetoulle, SlicesRealizeWork) {
     EXPECT_GE(work[static_cast<std::size_t>(j)],
               p[static_cast<std::size_t>(j)] - 1e-5)
         << "job " << j;
+  }
+}
+
+// bench_fig_stoch's instance shape: rates in [0.4, 2], each (job, machine)
+// pair capable with probability 0.8 at speed in [0.2, 1.2], every job with
+// at least one capable machine.
+StochInstance cluster_instance(util::Rng& rng, int n, int m) {
+  std::vector<double> lambda(static_cast<std::size_t>(n));
+  std::vector<double> v(static_cast<std::size_t>(n) * m, 0.0);
+  for (auto& l : lambda) l = 0.4 + rng.uniform01() * 1.6;
+  for (int j = 0; j < n; ++j) {
+    bool any = false;
+    for (int i = 0; i < m; ++i) {
+      if (rng.bernoulli(0.8)) {
+        v[static_cast<std::size_t>(j) * m + i] = 0.2 + rng.uniform01();
+        any = true;
+      }
+    }
+    if (!any) v[static_cast<std::size_t>(j) * m] = 1.0;
+  }
+  return StochInstance(n, m, std::move(lambda), std::move(v));
+}
+
+// The Lawler–Labetoulle LP over `jobs`, written out independently of
+// stoch/lawler_labetoulle.cpp: min C s.t. sum_i v_ij x_ij >= p_j,
+// sum_i x_ij <= C per job and sum_j x_ij <= C per machine that can run a
+// selected job.
+lp::Problem ll_program(const StochInstance& inst, const std::vector<int>& jobs,
+                       const std::vector<double>& p) {
+  lp::Problem prog;
+  const int c = prog.add_var(1.0);
+  const int m = inst.num_machines();
+  std::vector<lp::Row> loads(static_cast<std::size_t>(m));
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    lp::Row work;
+    work.rel = lp::Rel::Ge;
+    work.rhs = p[idx];
+    lp::Row par;
+    par.rel = lp::Rel::Le;
+    par.terms.emplace_back(c, -1.0);
+    for (int i = 0; i < m; ++i) {
+      const double v = inst.speed(i, jobs[idx]);
+      if (v <= 0) continue;
+      const int x = prog.add_var(0.0);
+      work.terms.emplace_back(x, v);
+      par.terms.emplace_back(x, 1.0);
+      loads[static_cast<std::size_t>(i)].terms.emplace_back(x, 1.0);
+    }
+    prog.add_row(std::move(work));
+    prog.add_row(std::move(par));
+  }
+  for (lp::Row& load : loads) {
+    if (load.terms.empty()) continue;
+    load.rel = lp::Rel::Le;
+    load.terms.emplace_back(c, -1.0);
+    prog.add_row(std::move(load));
+  }
+  return prog;
+}
+
+// solve_rpmtn on (jobs, p) starts from its crash basis (no phase-1 pivot),
+// reaches the tableau oracle's C* within 1e-9 (relative) on ll_program, and
+// its slices deliver every job its work. Returns the schedule.
+PreemptiveSchedule expect_crash_start(const StochInstance& inst,
+                                      const std::vector<int>& jobs,
+                                      const std::vector<double>& p,
+                                      const std::string& at) {
+  const PreemptiveSchedule s = solve_rpmtn(inst, jobs, p);
+  EXPECT_EQ(s.simplex_phase1_iterations, 0)
+      << at << ": the crash basis did not install";
+  const lp::Solution ref = lp::oracle::solve_tableau(ll_program(inst, jobs, p));
+  EXPECT_EQ(ref.status, lp::Status::Optimal) << at;
+  EXPECT_NEAR(s.makespan, ref.objective,
+              1e-9 * std::max(std::fabs(ref.objective), 1e-9))
+      << at << ": C* differs from the tableau oracle";
+  std::vector<double> work(jobs.size(), 0.0);
+  for (const Slice& slice : s.slices) {
+    for (int i = 0; i < inst.num_machines(); ++i) {
+      const int idx = slice.job_of_machine[static_cast<std::size_t>(i)];
+      if (idx < 0) continue;
+      work[static_cast<std::size_t>(idx)] +=
+          slice.duration * inst.speed(i, jobs[static_cast<std::size_t>(idx)]);
+    }
+  }
+  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
+    EXPECT_GE(work[idx], p[idx] - 1e-6 * (1.0 + p[idx]))
+        << at << ": job " << jobs[idx] << " short of its work";
+  }
+  return s;
+}
+
+TEST(LawlerLabetoulle, CrashStartOnStcIPrograms) {
+  // Every program run_stc_i solves on bench_fig_stoch-shaped instances: the
+  // offline optimum, then each doubling round's targets 2^(k-2)/lambda_j
+  // net of work done (the rounds are replayed here with the schedules
+  // solve_rpmtn returns, in run_stc_i's order). These rounds never net a
+  // target down to 0; CrashStartEdgeCases covers zero targets.
+  int programs = 0;
+  const int shapes[][2] = {{4, 2}, {28, 6}, {128, 16}};
+  for (const auto& shape : shapes) {
+    const int n = shape[0];
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      util::Rng inst_rng(seed + static_cast<std::uint64_t>(n));
+      const StochInstance inst = cluster_instance(inst_rng, n, shape[1]);
+      util::Rng rng = util::Rng(seed + 10).child(1);
+      std::vector<double> p(static_cast<std::size_t>(n));
+      for (int j = 0; j < n; ++j) {
+        p[static_cast<std::size_t>(j)] = rng.exponential(inst.lambda(j));
+      }
+      const std::string at =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      std::vector<int> rem(static_cast<std::size_t>(n));
+      for (int j = 0; j < n; ++j) rem[static_cast<std::size_t>(j)] = j;
+      expect_crash_start(inst, rem, p, at + " offline");
+      ++programs;
+
+      std::vector<double> work(static_cast<std::size_t>(n), 0.0);
+      for (int k = 1; k <= stc_round_bound(n) && !rem.empty(); ++k) {
+        std::vector<double> target(rem.size());
+        for (std::size_t idx = 0; idx < rem.size(); ++idx) {
+          const int j = rem[idx];
+          target[idx] = std::max(0.0, std::ldexp(1.0, k - 2) / inst.lambda(j) -
+                                          work[static_cast<std::size_t>(j)]);
+        }
+        const PreemptiveSchedule s = expect_crash_start(
+            inst, rem, target, at + " round=" + std::to_string(k));
+        ++programs;
+        // Play the whole round: a job is done once its work reaches p_j.
+        for (const Slice& slice : s.slices) {
+          for (int i = 0; i < inst.num_machines(); ++i) {
+            const int idx = slice.job_of_machine[static_cast<std::size_t>(i)];
+            if (idx < 0) continue;
+            const int j = rem[static_cast<std::size_t>(idx)];
+            const double pj = p[static_cast<std::size_t>(j)];
+            double& w = work[static_cast<std::size_t>(j)];
+            w = std::min(pj, w + slice.duration * inst.speed(i, j));
+            if (w >= pj - 1e-15) w = pj;  // run_stc_i's completion test
+          }
+        }
+        std::vector<int> next;
+        for (const int j : rem) {
+          if (work[static_cast<std::size_t>(j)] <
+              p[static_cast<std::size_t>(j)]) {
+            next.push_back(j);
+          }
+        }
+        rem = std::move(next);
+      }
+    }
+  }
+  EXPECT_GE(programs, 18);
+  std::cout << "[stoch] " << programs << " LL programs\n";
+}
+
+TEST(LawlerLabetoulle, CrashStartEdgeCases) {
+  // speeds are row-major by job: speeds[j * m + i] = v_ij.
+  {
+    const StochInstance inst(1, 2, {1.0}, {2.0, 3.0});
+    const PreemptiveSchedule s =
+        expect_crash_start(inst, {0}, {6.0}, "single job");
+    EXPECT_NEAR(s.makespan, 2.0, 1e-9);
+  }
+  {
+    // Machine 2 runs only job 2, which is not selected: no load row.
+    const StochInstance inst(3, 3, {1.0, 1.0, 1.0},
+                             {1.0, 0.5, 0.0, /**/ 0.3, 0.8, 0.0,
+                              /**/ 0.0, 0.0, 1.0});
+    expect_crash_start(inst, {0, 1}, {2.0, 1.0},
+                       "machine capable of no selected job");
+  }
+  {
+    // Every job's speeds tie: i* is machine 0 for all three.
+    const StochInstance inst(3, 2, {1.0, 1.0, 1.0},
+                             {1.0, 1.0, /**/ 1.0, 1.0, /**/ 1.0, 1.0});
+    expect_crash_start(inst, {0, 1, 2}, {2.0, 2.0, 1.0},
+                       "tied fastest speeds");
+  }
+  {
+    util::Rng rng(5);
+    const StochInstance inst = cluster_instance(rng, 6, 3);
+    const std::vector<int> jobs = {0, 1, 2, 3, 4, 5};
+    expect_crash_start(inst, jobs, {0.0, 1.5, 0.0, 2.0, 0.0, 0.5},
+                       "some zero targets");
+    const PreemptiveSchedule s = expect_crash_start(
+        inst, jobs, std::vector<double>(6, 0.0), "all-zero targets");
+    EXPECT_EQ(s.makespan, 0.0);
   }
 }
 
