@@ -24,7 +24,6 @@
 #include "chains/decomposition.hpp"
 #include "core/generators.hpp"
 #include "flow/max_flow.hpp"
-#include "lp/fw_cover.hpp"
 #include "obs/metrics.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
@@ -165,23 +164,30 @@ void BM_Rpmtn(benchmark::State& state) {
 }
 BENCHMARK(BM_Rpmtn);
 
-void BM_FrankWolfeLp1(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  core::Instance inst = bench_instance(n, 8, 12);
+// Frank–Wolfe LP1(J, 1/2) on the indep_solve classes above the 4000-cell
+// simplex cutover: make_independent(n, m, classes()). "fw_iterations" is
+// the solver's iterations per solve (deterministic per build; the m = 32
+// classes run to the 600 cap) and "gap" its relative certified gap
+// (t - lower_bound) / t.
+void BM_FrankWolfeLp1(benchmark::State& state, int n, int m) {
+  util::Rng rng(12);
+  const core::Instance inst =
+      core::make_independent(n, m, core::MachineModel::classes(), rng);
   const auto jobs = all_jobs(n);
   rounding::Lp1Options opt;
   opt.simplex_size_limit = 0;  // Frank–Wolfe at every size
+  rounding::Lp1Fractional frac;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rounding::solve_lp1(inst, jobs, 0.5, opt));
+    frac = rounding::solve_lp1(inst, jobs, 0.5, opt);
+    benchmark::DoNotOptimize(frac.t);
   }
-  state.SetComplexityN(n);
+  state.counters["fw_iterations"] = frac.fw_iterations;
+  state.counters["gap"] = (frac.t - frac.lower_bound) / frac.t;
 }
-BENCHMARK(BM_FrankWolfeLp1)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Complexity();
+BENCHMARK_CAPTURE(BM_FrankWolfeLp1, 1024x8, 1024, 8);
+BENCHMARK_CAPTURE(BM_FrankWolfeLp1, 4096x8, 4096, 8);
+BENCHMARK_CAPTURE(BM_FrankWolfeLp1, 256x32, 256, 32);
+BENCHMARK_CAPTURE(BM_FrankWolfeLp1, 4096x32, 4096, 32);
 
 void BM_RoundLp1(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

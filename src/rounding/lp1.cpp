@@ -56,15 +56,13 @@ Lp1Fractional solve_with_fw(const core::Instance& inst,
   SUU_CHECK(L > 0);
   lp::CoverSystem sys;
   sys.n_machines = inst.num_machines();
-  sys.cover.resize(jobs.size());
-  sys.demand.assign(jobs.size(), L);
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
+  for (const int j : jobs) {
+    sys.add_job(L);
     for (int i = 0; i < inst.num_machines(); ++i) {
       const double e = inst.ell_capped(i, j, L);
-      if (e > kEps) sys.cover[idx].emplace_back(i, e);
+      if (e > kEps) sys.add(i, e);
     }
-    SUU_CHECK_MSG(!sys.cover[idx].empty(),
+    SUU_CHECK_MSG(sys.ptr.back() > sys.ptr[sys.ptr.size() - 2],
                   "job " << j << " has no capable machine");
   }
   const lp::FwSolution fw = lp::solve_fw_cover(sys);
@@ -72,11 +70,15 @@ Lp1Fractional solve_with_fw(const core::Instance& inst,
   Lp1Fractional frac;
   frac.t = fw.t;
   frac.lower_bound = fw.lower_bound;
+  frac.fw_iterations = fw.iterations;
   frac.x.resize(jobs.size());
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    for (std::size_t k = 0; k < sys.cover[idx].size(); ++k) {
-      const double val = fw.x[idx][k];
-      if (val > kEps) frac.x[idx].emplace_back(sys.cover[idx][k].first, val);
+    for (int k = sys.ptr[idx]; k < sys.ptr[idx + 1]; ++k) {
+      const double val = fw.x[static_cast<std::size_t>(k)];
+      if (val > kEps) {
+        frac.x[idx].emplace_back(sys.machine[static_cast<std::size_t>(k)],
+                                 val);
+      }
     }
   }
   return frac;

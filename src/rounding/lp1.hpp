@@ -67,6 +67,9 @@ struct Lp1Fractional {
   /// kernels actually touched — the perf benches report it.
   std::int64_t ftran_calls = 0;
   std::int64_t ftran_nnz = 0;
+  /// Frank–Wolfe iterations spent (0 for the simplex), so a caller can see
+  /// which LP1 path ran.
+  int fw_iterations = 0;
 };
 
 /// Solve the relaxation of LP1(J', L). `jobs` lists J' (must be non-empty,

@@ -7,10 +7,12 @@
 #include "util/check.hpp"
 
 namespace suu::stoch {
+namespace {
 
-PreemptiveSchedule solve_rpmtn(const StochInstance& inst,
-                               const std::vector<int>& jobs,
-                               const std::vector<double>& p) {
+// The LP alone: C*, the timetable x and the pivot counts; no slices.
+PreemptiveSchedule solve_timetable(const StochInstance& inst,
+                                   const std::vector<int>& jobs,
+                                   const std::vector<double>& p) {
   const int m = inst.num_machines();
   const int k = static_cast<int>(jobs.size());
   SUU_CHECK_MSG(k >= 1, "empty job set");
@@ -116,8 +118,24 @@ PreemptiveSchedule solve_rpmtn(const StochInstance& inst,
             static_cast<std::size_t>(idx)] = std::max(0.0, sol.x[var]);
     }
   }
-  out.slices = decompose_preemptive(m, k, out.x, out.makespan);
   return out;
+}
+
+}  // namespace
+
+PreemptiveSchedule solve_rpmtn(const StochInstance& inst,
+                               const std::vector<int>& jobs,
+                               const std::vector<double>& p) {
+  PreemptiveSchedule out = solve_timetable(inst, jobs, p);
+  out.slices = decompose_preemptive(inst.num_machines(),
+                                    static_cast<int>(jobs.size()), out.x,
+                                    out.makespan);
+  return out;
+}
+
+double rpmtn_makespan(const StochInstance& inst, const std::vector<int>& jobs,
+                      const std::vector<double>& p) {
+  return solve_timetable(inst, jobs, p).makespan;
 }
 
 }  // namespace suu::stoch

@@ -38,4 +38,10 @@ PreemptiveSchedule solve_rpmtn(const StochInstance& inst,
                                const std::vector<int>& jobs,
                                const std::vector<double>& p);
 
+/// C* of the same LP without the BvN slices: what a caller that needs only
+/// the optimum (STC-I's offline benchmark) pays for. Equal, bit for bit,
+/// to solve_rpmtn(inst, jobs, p).makespan.
+double rpmtn_makespan(const StochInstance& inst, const std::vector<int>& jobs,
+                      const std::vector<double>& p);
+
 }  // namespace suu::stoch

@@ -72,7 +72,7 @@ StcIResult run_stc_i(const StochInstance& inst, util::Rng& rng) {
     // Offline optimum for this realization.
     std::vector<int> all(static_cast<std::size_t>(n));
     for (int j = 0; j < n; ++j) all[static_cast<std::size_t>(j)] = j;
-    res.offline_opt = solve_rpmtn(inst, all, p).makespan;
+    res.offline_opt = rpmtn_makespan(inst, all, p);
   }
 
   std::vector<double> work(static_cast<std::size_t>(n), 0.0);
@@ -133,7 +133,7 @@ StcIResult run_stc_r(const StochInstance& inst, util::Rng& rng) {
   {
     std::vector<int> all(static_cast<std::size_t>(n));
     for (int j = 0; j < n; ++j) all[static_cast<std::size_t>(j)] = j;
-    res.offline_opt = solve_rpmtn(inst, all, p).makespan;
+    res.offline_opt = rpmtn_makespan(inst, all, p);
   }
 
   std::vector<char> done(static_cast<std::size_t>(n), 0);

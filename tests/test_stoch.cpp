@@ -358,6 +358,35 @@ TEST(LawlerLabetoulle, CrashStartEdgeCases) {
   }
 }
 
+TEST(StcI, OfflineOptimumSkipsTheSlicesBitForBit) {
+  // run_stc_i and run_stc_r take the offline optimum from rpmtn_makespan
+  // (the LP without its BvN slices); it must equal solve_rpmtn's makespan
+  // on the realization both draw first, exactly.
+  const int shapes[][2] = {{28, 6}, {128, 16}};
+  for (const auto& shape : shapes) {
+    const int n = shape[0];
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+      util::Rng inst_rng(seed + static_cast<std::uint64_t>(n));
+      const StochInstance inst = cluster_instance(inst_rng, n, shape[1]);
+      util::Rng draw = util::Rng(seed + 10).child(1);
+      std::vector<double> p(static_cast<std::size_t>(n));
+      for (int j = 0; j < n; ++j) {
+        p[static_cast<std::size_t>(j)] = draw.exponential(inst.lambda(j));
+      }
+      std::vector<int> all(static_cast<std::size_t>(n));
+      for (int j = 0; j < n; ++j) all[static_cast<std::size_t>(j)] = j;
+      const double full = solve_rpmtn(inst, all, p).makespan;
+      EXPECT_EQ(rpmtn_makespan(inst, all, p), full);
+      util::Rng rng_i = util::Rng(seed + 10).child(1);
+      EXPECT_EQ(run_stc_i(inst, rng_i).offline_opt, full)
+          << "n=" << n << " seed=" << seed;
+      util::Rng rng_r = util::Rng(seed + 10).child(1);
+      EXPECT_EQ(run_stc_r(inst, rng_r).offline_opt, full)
+          << "n=" << n << " seed=" << seed;
+    }
+  }
+}
+
 TEST(StcRoundBound, Values) {
   EXPECT_EQ(stc_round_bound(2), 3);
   EXPECT_EQ(stc_round_bound(4), 4);
