@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "api/registry.hpp"
 #include "chains/decomposition.hpp"
 #include "core/generators.hpp"
+#include "core/io.hpp"
 #include "flow/max_flow.hpp"
 #include "obs/metrics.hpp"
 #include "rounding/lp1.hpp"
@@ -199,6 +201,44 @@ void BM_RoundLp1(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoundLp1)->Arg(16)->Arg(64)->Arg(256);
+
+// The indep_solve class that sets its p90: 4096 jobs on 32 volunteer-
+// computing machine classes (the BM_FrankWolfeLp1/4096x32 instance).
+const core::Instance& indep_4096x32() {
+  static const core::Instance inst = [] {
+    util::Rng rng(12);
+    return core::make_independent(4096, 32, core::MachineModel::classes(),
+                                  rng);
+  }();
+  return inst;
+}
+
+// Lemma 2 rounding of that class's default LP1(J, 1/2) point (Frank–Wolfe),
+// max-flow and trim included.
+void round_lp1_indep(benchmark::State& state) {
+  const core::Instance& inst = indep_4096x32();
+  const auto jobs = all_jobs(inst.num_jobs());
+  static const rounding::Lp1Fractional frac =
+      rounding::solve_lp1(inst, jobs, 0.5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rounding::round_lp1(inst, jobs, 0.5, frac));
+  }
+}
+BENCHMARK(round_lp1_indep)->Name("BM_RoundLp1/4096x32");
+
+// core::read_instance (the string_view overload) over that class's
+// write_instance text, 2.6 MB: the wire payload a cold solve parses.
+void BM_ReadInstance(benchmark::State& state) {
+  std::ostringstream os;
+  core::write_instance(os, indep_4096x32());
+  const std::string text = os.str();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::read_instance(text).fingerprint());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadInstance)->Name("BM_ReadInstance/4096x32");
 
 // The default LP2 path (revised engine from the crash basis, Dantzig
 // pricing) plus the Lemma 6 rounding, on `chains`. "pivots" counts priced

@@ -557,9 +557,8 @@ FanoutResult ShardCoordinator::run(const EstimateJob& job) {
   // the exact code path the service would have used.
   std::shared_ptr<const core::Instance> instance;
   try {
-    std::istringstream is(job.instance_text);
-    instance =
-        std::make_shared<const core::Instance>(core::read_instance(is));
+    instance = std::make_shared<const core::Instance>(
+        core::read_instance(job.instance_text));
   } catch (const std::exception& e) {
     out.error = std::string("bad instance: ") + e.what();
     return out;
@@ -765,8 +764,8 @@ UpdateResult ShardCoordinator::update(const UpdateSpec& spec) {
   // reachable — they are what the caller's next EstimateJob must carry.
   std::shared_ptr<const core::Instance> base;
   try {
-    std::istringstream is(spec.instance_text);
-    base = std::make_shared<const core::Instance>(core::read_instance(is));
+    base = std::make_shared<const core::Instance>(
+        core::read_instance(spec.instance_text));
   } catch (const std::exception& e) {
     out.error = std::string("bad instance: ") + e.what();
     return out;

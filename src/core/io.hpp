@@ -1,6 +1,7 @@
 // Plain-text serialization for SUU instances.
 //
-// Format (whitespace-separated, '#' comments allowed at line starts):
+// Format (whitespace-separated tokens; a token that starts with '#'
+// comments out the rest of its line):
 //
 //   suu-instance v1
 //   <n> <m>
@@ -8,7 +9,11 @@
 //   <edge count>
 //   <edge count rows of "u v"> (u precedes v)
 //
-// Round-trips exactly at 17 significant digits.
+// Round-trips exactly at 17 significant digits. Whitespace is the C
+// locale's (space, \t, \n, \v, \f, \r). Integers are decimal with an
+// optional sign; probabilities take the std::strtod grammar (an optional
+// sign, decimal or hex floats, inf, nan), and a result that under- or
+// overflows is rejected. Bytes after the last edge are not read.
 //
 // read_instance is hardened against malformed and adversarial input (the
 // suu::serve wire format feeds it untrusted bytes): dimension overflow,
@@ -19,6 +24,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "core/instance.hpp"
 #include "util/check.hpp"
@@ -46,6 +52,10 @@ struct ReadLimits {
 };
 
 void write_instance(std::ostream& os, const Instance& inst);
+/// Parse one instance from `text` in a single pass (no per-token string,
+/// numbers by std::from_chars).
+Instance read_instance(std::string_view text, const ReadLimits& limits = {});
+/// Read `is` to its end and parse the bytes with the overload above.
 Instance read_instance(std::istream& is, const ReadLimits& limits = {});
 
 void save_instance(const std::string& path, const Instance& inst);

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "flow/max_flow.hpp"
 #include "lp/fw_cover.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "rounding/group_flow.hpp"
 #include "util/check.hpp"
 
 namespace suu::rounding {
@@ -219,110 +219,12 @@ sched::IntegralAssignment round_lp1(const core::Instance& inst,
                                     const Lp1Fractional& frac, bool trim) {
   check_jobs(inst, jobs);
   SUU_CHECK(static_cast<std::size_t>(frac.x.size()) == jobs.size());
-
-  // Group machines by k = floor(log2 ell') per job; D[jk] = total fractional
-  // assignment of group (j, k).
-  struct Group {
-    std::int64_t cap = 0;  // floor(6 * D_jk)
-    int node = -1;
-    std::vector<int> edge_ids;     // flow edge per member machine
-    std::vector<int> machine_ids;  // aligned with edge_ids
-  };
-  // Per job: map from k to group.
-  std::vector<std::map<int, Group>> groups(jobs.size());
-  // First pass: accumulate D_jk.
-  std::vector<std::map<int, double>> D(jobs.size());
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    for (const auto& [i, val] : frac.x[idx]) {
-      const double e = inst.ell_capped(i, j, L);
-      if (e <= kEps || val <= kEps) continue;
-      const int k = static_cast<int>(std::floor(std::log2(e)));
-      D[idx][k] += val;
-    }
-  }
-
-  // Build the flow network.
-  flow::MaxFlow net(2);
-  const int src = 0;
-  const int sink = 1;
-  std::vector<int> machine_node(inst.num_machines(), -1);
-  std::vector<int> machine_edge(inst.num_machines(), -1);
-  const auto machine_cap = static_cast<flow::MaxFlow::Cap>(
-      std::ceil(6.0 * frac.t - 1e-9));
-  auto get_machine_node = [&](int i) {
-    if (machine_node[i] < 0) {
-      machine_node[i] = net.add_node();
-      machine_edge[i] = net.add_edge(machine_node[i], sink,
-                                     std::max<flow::MaxFlow::Cap>(
-                                         machine_cap, 0));
-    }
-    return machine_node[i];
-  };
-
-  std::int64_t total_demand = 0;
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    for (const auto& [k, d] : D[idx]) {
-      Group g;
-      g.cap = static_cast<std::int64_t>(std::floor(6.0 * d + 1e-9));
-      if (g.cap <= 0) continue;
-      g.node = net.add_node();
-      net.add_edge(src, g.node, g.cap);
-      total_demand += g.cap;
-      // Edge to every machine in this group (paper: any i with matching k),
-      // not just those with positive fractional mass.
-      for (int i = 0; i < inst.num_machines(); ++i) {
-        const double e = inst.ell_capped(i, j, L);
-        if (e <= kEps) continue;
-        if (static_cast<int>(std::floor(std::log2(e))) != k) continue;
-        const int edge =
-            net.add_edge(g.node, get_machine_node(i), flow::MaxFlow::kInf);
-        g.edge_ids.push_back(edge);
-        g.machine_ids.push_back(i);
-      }
-      groups[idx].emplace(k, std::move(g));
-    }
-  }
-
-  const auto pushed = net.solve(src, sink);
-  SUU_CHECK_MSG(pushed == total_demand,
-                "Lemma 2 flow did not saturate: " << pushed << " of "
-                                                  << total_demand);
-
-  sched::IntegralAssignment x(inst.num_jobs(), inst.num_machines());
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    for (const auto& [k, g] : groups[idx]) {
-      (void)k;
-      for (std::size_t e = 0; e < g.edge_ids.size(); ++e) {
-        const auto f = net.flow_on(g.edge_ids[e]);
-        if (f > 0) x.add(g.machine_ids[e], j, f);
-      }
-    }
-  }
-
-  // Numerical safety net: the theory guarantees mass >= L; if float error
-  // starved a job, top it up on its best machine.
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    double mass = x.delivered_mass(inst, j, L);
-    if (mass >= L - 1e-7) continue;
-    int best = -1;
-    double best_e = 0.0;
-    for (int i = 0; i < inst.num_machines(); ++i) {
-      const double e = inst.ell_capped(i, j, L);
-      if (e > best_e) {
-        best_e = e;
-        best = i;
-      }
-    }
-    SUU_CHECK(best >= 0);
-    const auto extra =
-        static_cast<std::int64_t>(std::ceil((L - mass) / best_e));
-    x.add(best, j, extra);
-  }
-  return trim ? trim_assignment(inst, jobs, L, x) : x;
+  sched::IntegralAssignment x = round_group_flow(
+      inst, jobs, L, frac.t, frac.x,
+      std::vector<flow::MaxFlow::Cap>(jobs.size(), flow::MaxFlow::kInf),
+      "Lemma 2");
+  if (!trim) return x;
+  return trim_assignment(inst, jobs, L, x);
 }
 
 Lp1Schedule build_lp1_schedule(const core::Instance& inst,

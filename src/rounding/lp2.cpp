@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "flow/max_flow.hpp"
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
+#include "rounding/group_flow.hpp"
 #include "rounding/lp1.hpp"
 #include "util/check.hpp"
 
@@ -163,95 +163,19 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
                 sol.iterations,
                 sol.phase1_iterations};
 
-  // ---- Lemma 6 rounding: groups by floor(log2 ell'), source caps
-  // floor(6 D*_jk), machine caps ceil(6 t*), group->machine edge caps
-  // ceil(6 d*_j).
-  flow::MaxFlow net(2);
-  const int src = 0;
-  const int sink = 1;
-  std::vector<int> machine_node(inst.num_machines(), -1);
-  const auto machine_cap =
-      static_cast<flow::MaxFlow::Cap>(std::ceil(6.0 * sol.x[t_var] - 1e-9));
-  auto get_machine_node = [&](int i) {
-    if (machine_node[i] < 0) {
-      machine_node[i] = net.add_node();
-      net.add_edge(machine_node[i], sink,
-                   std::max<flow::MaxFlow::Cap>(machine_cap, 0));
-    }
-    return machine_node[i];
-  };
-
-  struct GroupEdges {
-    std::vector<int> edge_ids;
-    std::vector<int> machine_ids;
-  };
-  std::vector<std::map<int, GroupEdges>> groups(jobs.size());
-  std::int64_t total_demand = 0;
+  // ---- Lemma 6 rounding: Lemma 2's group flow with group->machine edge
+  // caps ceil(6 d*_j).
+  std::vector<std::vector<std::pair<int, double>>> x(jobs.size());
+  std::vector<flow::MaxFlow::Cap> edge_cap(jobs.size());
   for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    const auto dj_cap = static_cast<flow::MaxFlow::Cap>(
-        std::ceil(6.0 * sol.x[d_var[j]] - 1e-9));
-    std::map<int, double> D;
     for (const auto& [i, v] : var_of[idx]) {
-      const double val = sol.x[v];
-      if (val <= kEps) continue;
-      const double e = inst.ell_capped(i, j, kL);
-      const int k = static_cast<int>(std::floor(std::log2(e)));
-      D[k] += val;
+      if (sol.x[v] > kEps) x[idx].emplace_back(i, sol.x[v]);
     }
-    for (const auto& [k, d] : D) {
-      const auto cap = static_cast<std::int64_t>(std::floor(6.0 * d + 1e-9));
-      if (cap <= 0) continue;
-      const int node = net.add_node();
-      net.add_edge(src, node, cap);
-      total_demand += cap;
-      GroupEdges ge;
-      for (int i = 0; i < inst.num_machines(); ++i) {
-        const double e = inst.ell_capped(i, j, kL);
-        if (e <= kEps) continue;
-        if (static_cast<int>(std::floor(std::log2(e))) != k) continue;
-        ge.edge_ids.push_back(
-            net.add_edge(node, get_machine_node(i), dj_cap));
-        ge.machine_ids.push_back(i);
-      }
-      groups[idx].emplace(k, std::move(ge));
-    }
+    edge_cap[idx] = static_cast<flow::MaxFlow::Cap>(
+        std::ceil(6.0 * sol.x[d_var[jobs[idx]]] - 1e-9));
   }
-
-  const auto pushed = net.solve(src, sink);
-  SUU_CHECK_MSG(pushed == total_demand,
-                "Lemma 6 flow did not saturate: " << pushed << " of "
-                                                  << total_demand);
-
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    for (const auto& [k, ge] : groups[idx]) {
-      (void)k;
-      for (std::size_t e = 0; e < ge.edge_ids.size(); ++e) {
-        const auto f = net.flow_on(ge.edge_ids[e]);
-        if (f > 0) out.assignment.add(ge.machine_ids[e], j, f);
-      }
-    }
-  }
-
-  // Top-up starved jobs (numerical guard; see round_lp1).
-  for (std::size_t idx = 0; idx < jobs.size(); ++idx) {
-    const int j = jobs[idx];
-    const double mass = out.assignment.delivered_mass(inst, j, kL);
-    if (mass >= kL - 1e-7) continue;
-    int best = -1;
-    double best_e = 0.0;
-    for (int i = 0; i < inst.num_machines(); ++i) {
-      const double e = inst.ell_capped(i, j, kL);
-      if (e > best_e) {
-        best_e = e;
-        best = i;
-      }
-    }
-    SUU_CHECK(best >= 0);
-    out.assignment.add(
-        best, j, static_cast<std::int64_t>(std::ceil((kL - mass) / best_e)));
-  }
+  out.assignment =
+      round_group_flow(inst, jobs, kL, sol.x[t_var], x, edge_cap, "Lemma 6");
 
   // Surplus trim (see round_lp1): only lowers loads and chain lengths.
   out.assignment = trim_assignment(inst, jobs, kL, out.assignment);

@@ -487,10 +487,10 @@ std::string Engine::handle_list_solvers() const {
 }
 
 std::shared_ptr<const core::Instance> Engine::parse_instance(
-    const std::string& text) const {
-  std::istringstream is(text);
+    std::string_view text) const {
+  ScopedPhase phase(kPhaseParse);
   return std::make_shared<const core::Instance>(
-      core::read_instance(is, cfg_.read_limits));
+      core::read_instance(text, cfg_.read_limits));
 }
 
 std::string Engine::handle_open_instance(const Json& params,

@@ -76,6 +76,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -319,8 +320,9 @@ class Engine {
   std::string handle_trace(const Json& params) const;
   std::string handle_shutdown();
 
+  /// Parse an inline payload (the parse phase of the request).
   std::shared_ptr<const core::Instance> parse_instance(
-      const std::string& text) const;
+      std::string_view text) const;
   /// The request's instance: parsed from inline bytes, or looked up (and
   /// LRU-touched) in the session table. Throws ProtocolError
   /// (unknown_handle) for unknown/closed/expired handles.

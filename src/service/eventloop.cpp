@@ -477,13 +477,18 @@ struct EventLoop::Impl : std::enable_shared_from_this<EventLoop::Impl> {
       }
       if (conn->scrape) continue;  // a scraper's request bytes are ignored
       got_bytes = true;
+      // The bytes kept from earlier reads hold no newline, so only the new
+      // chunk is searched: a multi-megabyte line costs one pass, not one
+      // pass per 4 KiB read.
+      std::size_t scan = conn->inbuf.size();
       conn->inbuf.append(chunk, static_cast<std::size_t>(r));
       std::size_t start = 0;
       for (;;) {
-        const std::size_t nl = conn->inbuf.find('\n', start);
+        const std::size_t nl = conn->inbuf.find('\n', scan);
         if (nl == std::string::npos) break;
         std::string line = conn->inbuf.substr(start, nl - start);
         start = nl + 1;
+        scan = start;
         // The cap applies to every extracted line, not just the residual
         // buffer: a complete over-long line inside one read chunk must be
         // rejected at the transport, not handed to the engine.

@@ -170,15 +170,20 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
+      // Append the run of plain bytes up to the next quote, backslash or
+      // control character at once.
+      const std::size_t run = pos_;
+      while (!eof()) {
+        const auto b = static_cast<unsigned char>(s_[pos_]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++pos_;
+      }
+      out.append(s_.data() + run, pos_ - run);
       const char c = take();
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         --pos_;
         fail_at("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
       }
       const char e = take();
       switch (e) {
@@ -288,6 +293,10 @@ const Json* Json::find(const std::string& key) const {
   const Object& o = std::get<Object>(v_);
   const auto it = o.find(key);
   return it == o.end() ? nullptr : &it->second;
+}
+
+Json* Json::find(const std::string& key) {
+  return const_cast<Json*>(std::as_const(*this).find(key));
 }
 
 Json Json::parse(std::string_view text) { return Parser(text).run(); }

@@ -64,8 +64,9 @@ class Json {
   const Object& as_object(const char* what) const;
 
   /// Object member lookup; nullptr when absent or when this is not an
-  /// object.
+  /// object. The mutable overload lets a caller move a member out.
   const Json* find(const std::string& key) const;
+  Json* find(const std::string& key);
 
   /// Parse exactly one JSON value spanning all of `text` (surrounding
   /// whitespace allowed). Throws JsonError on any violation.

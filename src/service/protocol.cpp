@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/table.hpp"
@@ -109,13 +110,15 @@ Request parse_request(const std::string& line) {
     throw ProtocolError(error_code::kBadRequest,
                         "request must be a JSON object");
   }
+  // Members move out of the DOM: a params object can hold a megabyte
+  // instance payload.
   Request req;
-  if (const Json* id = root.find("id")) {
+  if (Json* id = root.find("id")) {
     if (id->is_array() || id->is_object()) {
       throw ProtocolError(error_code::kBadRequest,
                           "id must be a scalar (number, string, or null)");
     }
-    req.id = *id;
+    req.id = std::move(*id);
   }
   const Json* method = root.find("method");
   if (method == nullptr || !method->is_string()) {
@@ -123,12 +126,12 @@ Request parse_request(const std::string& line) {
                         "request needs a string 'method'");
   }
   req.method = method->as_string("method");
-  if (const Json* params = root.find("params")) {
+  if (Json* params = root.find("params")) {
     if (!params->is_object() && !params->is_null()) {
       throw ProtocolError(error_code::kBadRequest,
                           "params must be an object");
     }
-    req.params = *params;
+    req.params = std::move(*params);
   }
   if (const Json* trace = root.find("trace")) {
     if (!trace->is_string()) {

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "api/registry.hpp"
@@ -142,8 +143,10 @@ Json parse_request_id(const std::string& line) noexcept;
 /// (`instance`, a suu-instance v1 payload parsed per request) or as a
 /// session handle (`handle`, from a prior open_instance — the server-side
 /// parsed instance is reused). Exactly one of the two must be present.
+/// `instance_text` views the payload inside the params Json it was decoded
+/// from, so that Json must outlive it; the payload is never copied.
 struct SolveParams {
-  std::string instance_text;      ///< inline payload; empty when by handle
+  std::string_view instance_text; ///< inline payload; empty when by handle
   bool has_handle = false;        ///< instance referenced by session handle
   std::uint64_t handle = 0;       ///< valid iff has_handle
   std::string solver = "auto";    ///< registry name or "auto"
@@ -174,9 +177,10 @@ struct EstimateParams {
   bool samples = false;
 };
 
-/// open_instance / close_instance parameters.
+/// open_instance / close_instance parameters. `instance_text` views the
+/// payload inside the params Json, like SolveParams::instance_text.
 struct OpenInstanceParams {
-  std::string instance_text;  ///< suu-instance v1 payload (required)
+  std::string_view instance_text;  ///< suu-instance v1 payload (required)
 };
 struct CloseInstanceParams {
   std::uint64_t handle = 0;

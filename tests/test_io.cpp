@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/generators.hpp"
 #include "util/check.hpp"
@@ -142,6 +148,179 @@ TEST(InstanceIo, ReadLimitsBoundAllocations) {
   std::stringstream ok(
       "suu-instance v1\n4 2\n.5 .5\n.5 .5\n.5 .5\n.5 .5\n2\n0 1\n1 2\n");
   EXPECT_EQ(read_instance(ok, tight).num_jobs(), 4);
+}
+
+// What `read` made of its input: the shape, q(0,0) bits and fingerprint
+// of an accepted instance, or the ParseError message.
+template <class Read>
+std::string outcome(Read read) {
+  try {
+    const Instance inst = read();
+    char buf[96];
+    std::snprintf(buf, sizeof buf, "accept %dx%d q00=%a fp=0x%016llx",
+                  inst.num_jobs(), inst.num_machines(), inst.q(0, 0),
+                  static_cast<unsigned long long>(inst.fingerprint()));
+    return buf;
+  } catch (const ParseError& err) {
+    return std::string("reject: ") + err.what();
+  }
+}
+
+std::string view_outcome(std::string_view text) {
+  return outcome([&] { return read_instance(text); });
+}
+
+std::string stream_outcome(const std::string& text) {
+  std::istringstream is(text);
+  return outcome([&] { return read_instance(is); });
+}
+
+// The number grammar std::stod / std::stol gave the reader before it moved
+// to std::from_chars, token by token: every outcome below is what the
+// operator>> + std::stod reader returned on the same bytes.
+TEST(InstanceIo, ViewOverloadKeepsTheStodGrammar) {
+  struct Case {
+    std::string_view text;
+    std::string_view outcome;
+  };
+  const Case cases[] = {
+      // Probabilities: a leading '+', hex floats, inf/nan, underflow, a
+      // subnormal, -0, trailing junk, leading zeros.
+      {"suu-instance v1\n1 2\n+0.5 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n0x1p-1 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n0X1.8P-1 0.5\n0\n",
+       "accept 1x2 q00=0x1.8p-1 fp=0x9e939c9ef165e32f"},
+      {"suu-instance v1\n1 2\n+0x1p-1 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n-0x1p-1 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = -0.5 is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\n0x 0.5\n0\n",
+       "reject: instance parse error: bad number '0x' for failure probability"},
+      {"suu-instance v1\n1 2\n+-0.5 0.5\n0\n",
+       "reject: instance parse error: bad number '+-0.5' for failure probability"},
+      {"suu-instance v1\n1 2\ninf 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = inf is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\n+inf 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = inf is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\n-inf 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = -inf is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\nnan 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = nan is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\n-nan 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = -nan is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\nnan(7) 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = nan is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\ninfinity 0.5\n0\n",
+       "reject: instance parse error: q(0,0) = inf is not a probability in [0,1]"},
+      {"suu-instance v1\n1 2\n1e-400 0.5\n0\n",
+       "reject: instance parse error: bad number '1e-400' for failure probability"},
+      {"suu-instance v1\n1 2\n4e-320 0.5\n0\n",
+       "reject: instance parse error: bad number '4e-320' for failure probability"},
+      {"suu-instance v1\n1 2\n0x1p-1074 0.5\n0\n",
+       "accept 1x2 q00=0x0.0000000000001p-1022 fp=0xd5b5db030a35f30b"},
+      {"suu-instance v1\n1 2\n0e-400 0.5\n0\n",
+       "accept 1x2 q00=0x0p+0 fp=0x78c7c5750d014a45"},
+      {"suu-instance v1\n1 2\n-0 0.5\n0\n",
+       "accept 1x2 q00=-0x0p+0 fp=0x700fc4b56ca82e42"},
+      {"suu-instance v1\n1 2\n0.5x 0.5\n0\n",
+       "reject: instance parse error: bad number '0.5x' for failure probability"},
+      {"suu-instance v1\n1 2\n0.5#x 0.5\n0\n",
+       "reject: instance parse error: bad number '0.5#x' for failure probability"},
+      {"suu-instance v1\n1 2\n000.5 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n5e-1 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n.5 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n5.e-1 0.5\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0x477506e321050721"},
+      {"suu-instance v1\n1 2\n1e 0.5\n0\n",
+       "reject: instance parse error: bad number '1e' for failure probability"},
+      {"suu-instance v1\n1 2\n0x1p 0.5\n0\n",
+       "reject: instance parse error: bad number '0x1p' for failure probability"},
+      // Integers (counts and edge ends): a leading '+', -0, leading zeros,
+      // hex, a fraction, overflow, trailing junk.
+      {"suu-instance v1\n+1 1\n0.5\n0\n",
+       "accept 1x1 q00=0x1p-1 fp=0x9f608d42573d7743"},
+      {"suu-instance v1\n+-1 1\n0.5\n0\n",
+       "reject: instance parse error: bad integer '+-1' for job count"},
+      {"suu-instance v1\n-0 1\n0.5\n0\n",
+       "reject: instance parse error: job count 0 outside [1, 16777216]"},
+      {"suu-instance v1\n01 2\n0.5 0.25\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance v1\n2 1\n0.5\n0.5\n001\n0 1\n",
+       "accept 2x1 q00=0x1p-1 fp=0x8bb2df1453dd768a"},
+      {"suu-instance v1\n0x1 1\n0.5\n0\n",
+       "reject: instance parse error: bad integer '0x1' for job count"},
+      {"suu-instance v1\n1.0 1\n0.5\n0\n",
+       "reject: instance parse error: bad integer '1.0' for job count"},
+      {"suu-instance v1\n99999999999999999999 1\n0.5\n0\n",
+       "reject: instance parse error: bad integer '99999999999999999999' for job count"},
+      {"suu-instance v1\n1e0 1\n0.5\n0\n",
+       "reject: instance parse error: bad integer '1e0' for job count"},
+      {"suu-instance v1\n2 1\n0.5\n0.5\n+1\n0 +1\n",
+       "accept 2x1 q00=0x1p-1 fp=0x8bb2df1453dd768a"},
+      {"suu-instance v1\n2 1\n0.5\n0.5\n1\n+0 1\n",
+       "accept 2x1 q00=0x1p-1 fp=0x8bb2df1453dd768a"},
+      {"suu-instance v1\n2 1\n0.5\n0.5\n-0\n",
+       "accept 2x1 q00=0x1p-1 fp=0xd4e39a18f99cca48"},
+      {"suu-instance v1\n2 1\n0.5\n0.5\n1\n0 1x\n",
+       "reject: instance parse error: bad integer '1x' for edge target"},
+      // Separators: tabs, CRLF, '#' in the middle of a line, bytes after
+      // the last edge, \v and \f.
+      {"suu-instance v1\n1\t2\n0.5\t0.25\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance v1\r\n1 2\r\n0.5 0.25\r\n0\r\n",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance v1\n1 2 # jobs, machines\n0.5 # first\n0.25\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance v1 # header\n1 2\n0.5 0.25\n0 # no edges",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance v1\n1 2\n0.5 0.25\n0\ntrailing bytes are not read\n",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance\tv1\v1\f2\n0.5 0.25\n0\n",
+       "accept 1x2 q00=0x1p-1 fp=0xdaed7981d7f891c0"},
+      {"suu-instance v1\n1 2\n#0.5 0.25\n0\n",
+       "reject: instance parse error: unexpected end of stream while reading failure probability"},
+      {"suu-instance v1\n1 2\n0.5 0.25 # the end",
+       "reject: instance parse error: unexpected end of stream while reading edge count"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(view_outcome(c.text), c.outcome) << c.text;
+    EXPECT_EQ(stream_outcome(std::string(c.text)), c.outcome) << c.text;
+  }
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(InstanceIo, CorpusParsesTheSameThroughBothOverloads) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SUU_IO_CORPUS_DIR)) {
+    files.push_back(entry.path());
+  }
+  ASSERT_GE(files.size(), 14u);
+  for (const auto& path : files) {
+    const std::string text = file_bytes(path);
+    EXPECT_EQ(view_outcome(text), stream_outcome(text)) << path;
+  }
+}
+
+// Fingerprints of the accepted corpus files, recorded with the
+// operator>> + std::stod reader: the new reader parses the same doubles.
+TEST(InstanceIo, CorpusFingerprintsPinned) {
+  const std::string dir = SUU_IO_CORPUS_DIR;
+  const auto fp = [&](const char* name) {
+    return read_instance(file_bytes(dir + "/" + name)).fingerprint();
+  };
+  EXPECT_EQ(fp("valid_comment_and_chain"), 0x0910fed0d30d4aa3ULL);
+  EXPECT_EQ(fp("valid_out_tree"), 0xc72280679c4ca647ULL);
+  EXPECT_EQ(fp("valid_small"), 0xff5d1e426d12f0fdULL);
 }
 
 TEST(InstanceIo, FileRoundTrip) {

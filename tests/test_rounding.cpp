@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "chains/decomposition.hpp"
 #include "core/generators.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace suu::rounding {
@@ -15,6 +18,20 @@ std::vector<int> all_jobs(const core::Instance& inst) {
   std::vector<int> v(static_cast<std::size_t>(inst.num_jobs()));
   for (int j = 0; j < inst.num_jobs(); ++j) v[static_cast<std::size_t>(j)] = j;
   return v;
+}
+
+// An assignment folded job by job, in steps_for order, into one hash, so a
+// pin catches a different insertion order as well as different steps.
+std::uint64_t assignment_hash(const sched::IntegralAssignment& x) {
+  std::uint64_t h = 0;
+  for (int j = 0; j < x.num_jobs(); ++j) {
+    for (const auto& [i, steps] : x.steps_for(j)) {
+      h = util::hash_combine(h, static_cast<std::uint64_t>(j));
+      h = util::hash_combine(h, static_cast<std::uint64_t>(i));
+      h = util::hash_combine(h, static_cast<std::uint64_t>(steps));
+    }
+  }
+  return h;
 }
 
 TEST(Lp1, SingleJobClosedForm) {
@@ -135,6 +152,43 @@ TEST(Lp1, SubsetOfJobsOnly) {
   EXPECT_TRUE(x.steps_for(7).empty());
 }
 
+// round_lp1(J, 1/2) of the default LP1 point on the indep_solve machine
+// classes (simplex at 256x8, Frank–Wolfe above the cutover), trimmed and
+// untrimmed. The hashes were recorded with the per-job std::map group
+// builder; the flat builder adds the same nodes and edges in the same
+// order, so Dinic routes the same flow. The untrimmed hash also pins the
+// order in which the flow's steps enter the assignment (trimming re-sorts
+// them).
+TEST(Lemma2Rounding, AssignmentsPinnedOnIndependentClasses) {
+  struct Case {
+    int n, m;
+    std::uint64_t seed, trimmed, untrimmed;
+  };
+  const Case cases[] = {
+      {256, 8, 1, 0x6096e10731b240deULL, 0xd3bb44eb7833f635ULL},
+      {256, 8, 2, 0xf207fc498a495c20ULL, 0xd5f6b53783e24cf8ULL},
+      {256, 8, 3, 0x521d5d9b48d18727ULL, 0x73bd1688c1f75766ULL},
+      {1024, 32, 1, 0x2fd1a3e0ec9b2cb9ULL, 0xace7a0a6a2fe75b6ULL},
+      {1024, 32, 2, 0xded25238fb88892aULL, 0x3ca5bd18ea609da6ULL},
+      {1024, 32, 3, 0x9e01710fac0ebdefULL, 0xf8c091bc12addc02ULL},
+      {4096, 8, 1, 0x1212a74d731926caULL, 0x12842b1b684863d8ULL},
+      {4096, 8, 2, 0x533cdd5dc2fb7c08ULL, 0x6d92dd9b705494f6ULL},
+      {4096, 8, 3, 0x6c4114793d5c1dc0ULL, 0xf4b677003ea2d4c0ULL},
+  };
+  for (const Case& c : cases) {
+    util::Rng rng(c.seed);
+    const core::Instance inst =
+        core::make_independent(c.n, c.m, core::MachineModel::classes(), rng);
+    const auto jobs = all_jobs(inst);
+    const Lp1Fractional frac = solve_lp1(inst, jobs, 0.5);
+    EXPECT_EQ(assignment_hash(round_lp1(inst, jobs, 0.5, frac)), c.trimmed)
+        << c.n << "x" << c.m << " seed " << c.seed;
+    EXPECT_EQ(assignment_hash(round_lp1(inst, jobs, 0.5, frac, false)),
+              c.untrimmed)
+        << c.n << "x" << c.m << " seed " << c.seed << ", untrimmed";
+  }
+}
+
 // ---- LP2 / Lemma 6 ----
 
 TEST(Lp2, SingleChainSingleMachine) {
@@ -184,6 +238,52 @@ TEST_P(Lemma6Rounding, GuaranteesHold) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Lemma6Rounding, ::testing::Range(0, 8));
+
+// Lemma 6 shares Lemma 2's group flow; its assignments and job lengths
+// stay those of the former std::map builder (hashes recorded with it).
+TEST(Lemma6Rounding, AssignmentsPinnedOnChainsAndForests) {
+  const auto lp2_hash = [](const Lp2Result& r) {
+    std::uint64_t h = assignment_hash(r.assignment);
+    for (const std::int64_t d : r.d) {
+      h = util::hash_combine(h, static_cast<std::uint64_t>(d));
+    }
+    return h;
+  };
+  struct Case {
+    int chains;
+    std::uint64_t seed, hash;
+  };
+  const Case chain_cases[] = {
+      {4, 1, 0xaa3770c120bd1790ULL},  {4, 2, 0x4e9820ce41775b3bULL},
+      {4, 3, 0xcfdcb2a17d568b8dULL},  {16, 1, 0x46231e502abdc2abULL},
+      {16, 2, 0xf4bd16214ce0a276ULL}, {16, 3, 0xb83253fdaefec11cULL},
+      {32, 1, 0x65f9fd97889fd93aULL}, {32, 2, 0x61a24166efdd2f7fULL},
+      {32, 3, 0xe52eba29ca266974ULL},
+  };
+  for (const Case& c : chain_cases) {
+    util::Rng rng(c.seed);
+    const core::Instance inst = core::make_chains(
+        c.chains, 2, 6, 8, core::MachineModel::uniform(0.3, 0.9), rng);
+    EXPECT_EQ(lp2_hash(solve_and_round_lp2(inst, inst.dag().chains())), c.hash)
+        << c.chains << " chains, seed " << c.seed;
+  }
+  // All heavy-path chains of a 256-job forest in one LP2 (the lower
+  // bound's program).
+  const std::uint64_t forest_hash[] = {0x8d74068b7ab7b699ULL,
+                                       0x95c8dee779a1d591ULL};
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    util::Rng rng(seed);
+    const core::Instance inst = core::make_out_forest(
+        256, 8, 0.1, 3, core::MachineModel::classes(), rng);
+    std::vector<std::vector<int>> chains;
+    for (const auto& block : chains::decompose_forest(inst.dag()).blocks) {
+      chains.insert(chains.end(), block.begin(), block.end());
+    }
+    EXPECT_EQ(lp2_hash(solve_and_round_lp2(inst, chains)),
+              forest_hash[seed - 1])
+        << "forest seed " << seed;
+  }
+}
 
 TEST(Lp2, RejectsOverlappingChains) {
   core::Instance inst = core::Instance::independent(3, 1, {0.5, 0.5, 0.5});

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -97,6 +98,64 @@ TEST(ServiceJson, UnicodeEscapes) {
             "\xf0\x9f\x98\x80");
   EXPECT_THROW(Json::parse("\"\\ud83d\""), JsonError);  // lone high
   EXPECT_THROW(Json::parse("\"\\ude00\""), JsonError);  // lone low
+}
+
+// String bodies are appended a run of plain bytes at a time: escapes at
+// either edge of a run, back to back, and between long runs decode as the
+// byte-at-a-time loop decoded them.
+TEST(ServiceJson, EscapesAtRunBoundaries) {
+  const std::pair<const char*, const char*> escapes[] = {
+      {"\\n", "\n"},
+      {"\\\"", "\""},
+      {"\\\\", "\\"},
+      {"\\/", "/"},
+      {"\\t", "\t"},
+      {"\\u00e9", "\xc3\xa9"},
+      {"\\ud83d\\ude00", "\xf0\x9f\x98\x80"},
+  };
+  std::string text = "\"";
+  std::string want;
+  for (const std::size_t run : {0, 1, 2, 7, 64, 4097}) {
+    for (const auto& [escaped, decoded] : escapes) {
+      text += escaped;
+      want += decoded;
+      text.append(run, 'a');
+      want.append(run, 'a');
+    }
+  }
+  text += "\\n\"";
+  want += "\n";
+  EXPECT_EQ(Json::parse(text).as_string("x"), want);
+  std::string encoded;
+  json_append_quoted(encoded, want);
+  EXPECT_EQ(Json::parse(encoded).as_string("x"), want);
+}
+
+// Error offsets after a long run are the byte-at-a-time loop's (recorded
+// with it).
+TEST(ServiceJson, ErrorOffsetsAfterLongRuns) {
+  const std::string run(5000, 'x');
+  const auto error_of = [](const std::string& text) -> std::string {
+    try {
+      Json::parse(text);
+    } catch (const JsonError& err) {
+      return err.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(error_of("\"" + run + "\x01\""),
+            "unescaped control character in string at byte 5001");
+  EXPECT_EQ(error_of("\"" + run + "\\n" + run + "\x1f\""),
+            "unescaped control character in string at byte 10003");
+  EXPECT_EQ(error_of("{\"" + run + "\n\":1}"),
+            "unescaped control character in string at byte 5002");
+  EXPECT_EQ(error_of("\"" + run), "unexpected end of input at byte 5001");
+  EXPECT_EQ(error_of("\"" + run + "\\"),
+            "unexpected end of input at byte 5002");
+  EXPECT_EQ(error_of("\"" + run + "\\q\""),
+            "bad escape character at byte 5002");
+  EXPECT_EQ(error_of("\"" + run + "\\u12G4\""),
+            "bad \\u escape digit at byte 5005");
 }
 
 TEST(ServiceJson, RejectsMalformed) {
@@ -1214,6 +1273,24 @@ TEST(ServiceTransport, TcpEndToEndWithWireShutdown) {
 // fault-injection spec, idle-timeout hygiene, and pin release when a
 // connection drops without close_instance.
 
+// An inline payload reaches the instance reader as a view of the request's
+// DOM string: parse_request moves params out of the parsed line, and the
+// decoded params view the payload instead of copying it.
+TEST(ServiceProtocol, InlinePayloadIsNotCopied) {
+  const std::string text = payload(independent_instance(6, 3, 5));
+  const Request req = parse_request(
+      R"({"id":1,"method":"solve","params":{"instance":)" + quoted(text) +
+      "}}");
+  const std::string& dom = req.params.find("instance")->as_string("instance");
+  EXPECT_EQ(dom, text);
+  const SolveParams solve = parse_solve_params(req.params);
+  EXPECT_EQ(solve.instance_text.data(), dom.data());
+  EXPECT_EQ(solve.instance_text.size(), dom.size());
+  const Json open_params = Json::parse(R"({"instance":)" + quoted(text) + "}");
+  EXPECT_EQ(parse_open_instance_params(open_params).instance_text.data(),
+            open_params.find("instance")->as_string("instance").data());
+}
+
 TEST(ServiceProtocol, ShardRangeEdgeCases) {
   // K == R: every shard is exactly one replication.
   for (int s = 0; s < 5; ++s) {
@@ -1473,6 +1550,37 @@ TEST(ServiceTransport, FinalLineWithoutNewlineAtEofIsServedOnAllTransports) {
     server_thread.join();
     EXPECT_EQ(received, want);
   }
+}
+
+// The event loop searches only each read's new bytes for a newline. Lines
+// that span many reads, end on or beside a 4 KiB read boundary, or share a
+// read with other lines are framed exactly as serve_stream frames them.
+TEST(ServiceTransport, LinesSpanningManyReadsAreFramedLikeTheStream) {
+  std::string bytes;
+  for (const std::size_t pad : {0, 1, 4094, 4095, 4096, 4097, 300000}) {
+    bytes.append(pad, ' ');  // JSON whitespace before the request
+    bytes += R"({"id":)" + std::to_string(pad) +
+             R"(,"method":"list_solvers"})" "\n";
+  }
+  bytes += R"({"id":"tail","method":"list_solvers"})";  // EOF, no newline
+  Engine::Config cfg;
+  cfg.workers = 1;  // replies in request order on both transports
+  std::ostringstream want;
+  {
+    Engine engine(cfg);
+    std::istringstream in(bytes);
+    serve_stream(engine, in, want);
+  }
+  Engine engine(cfg);
+  TcpServer server(engine, 0);
+  std::thread server_thread([&] { server.run(); });
+  const int fd = connect_loopback(server.port());
+  const std::string received = raw_round_trip(fd, bytes);
+  ::close(fd);
+  server.stop();
+  server_thread.join();
+  EXPECT_EQ(std::count(received.begin(), received.end(), '\n'), 8);
+  EXPECT_EQ(received, want.str());
 }
 
 // Bugfix regression: a complete over-long line inside one read chunk must
