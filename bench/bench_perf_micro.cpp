@@ -52,16 +52,14 @@ std::vector<int> all_jobs(int n) {
 }
 
 // LP1(J, 1/2) simplex telemetry per solve. "pivots" counts priced
-// iterations and "p1_pivots" the phase-1 share (0 whenever the crash basis
-// installs); "ftran_fill" reports the average fraction of the rows an
+// iterations from the crash basis; "ftran_fill" reports the average fraction of the rows an
 // FTRAN result actually occupied — the sparse eta storage only pays off
 // while this stays well below 1, so a storage regression is visible here
 // even when pivot counts hold steady.
 struct Lp1Tally {
-  std::int64_t pivots = 0, p1 = 0, ftran_calls = 0, ftran_nnz = 0;
-  void add(int it, int p1_it, std::int64_t calls, std::int64_t nnz) {
+  std::int64_t pivots = 0, ftran_calls = 0, ftran_nnz = 0;
+  void add(int it, std::int64_t calls, std::int64_t nnz) {
     pivots += it;
-    p1 += p1_it;
     ftran_calls += calls;
     ftran_nnz += nnz;
   }
@@ -73,8 +71,6 @@ void Lp1Tally::report(benchmark::State& state,
   const auto iters = static_cast<double>(state.iterations());
   state.counters["pivots"] =
       benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["p1_pivots"] =
-      benchmark::Counter(static_cast<double>(p1) / iters);
   // LP1's standard form has one cover row per job plus one load row per
   // machine.
   const double rows =
@@ -93,8 +89,7 @@ void run_lp1(benchmark::State& state, const core::Instance& inst,
   for (auto _ : state) {
     const rounding::Lp1Fractional frac =
         rounding::solve_lp1(inst, jobs, 0.5, opt);
-    tally.add(frac.simplex_iterations, frac.simplex_phase1_iterations,
-              frac.ftran_calls, frac.ftran_nnz);
+    tally.add(frac.simplex_iterations, frac.ftran_calls, frac.ftran_nnz);
     benchmark::DoNotOptimize(frac.t);
   }
   tally.report(state, inst);
@@ -128,22 +123,18 @@ void lp1_indep_median(benchmark::State& state) {
 }
 BENCHMARK(lp1_indep_median)->Name("BM_Lp1/64x32");
 
-// Per-solve "pivots" and "phase1_pivots" counters from run totals.
-void report_pivots(benchmark::State& state, std::int64_t pivots,
-                   std::int64_t phase1) {
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["pivots"] =
-      benchmark::Counter(static_cast<double>(pivots) / iters);
-  state.counters["phase1_pivots"] =
-      benchmark::Counter(static_cast<double>(phase1) / iters);
+// The per-solve "pivots" counter from a run total.
+void report_pivots(benchmark::State& state, std::int64_t pivots) {
+  state.counters["pivots"] = benchmark::Counter(
+      static_cast<double>(pivots) / static_cast<double>(state.iterations()));
 }
 
 // The Lawler–Labetoulle LP behind STC-I (stoch::solve_rpmtn, crash basis
 // plus the BvN slices): the offline program of F-STOCH's 128-job,
 // 16-machine cluster instance (bench_fig_stoch's generator and seed 9),
 // with p_j ~ Exp(lambda_j) drawn as run_stc_i draws its first
-// replication's lengths. "pivots" counts priced iterations per solve and
-// "phase1_pivots" the phase-1 share, 0 whenever the crash basis installs.
+// replication's lengths. "pivots" counts priced iterations per solve from
+// the crash basis.
 void BM_Rpmtn(benchmark::State& state) {
   constexpr int kN = 128;
   constexpr std::uint64_t kSeed = 9;
@@ -155,14 +146,13 @@ void BM_Rpmtn(benchmark::State& state) {
     p[static_cast<std::size_t>(j)] = rng.exponential(inst.lambda(j));
   }
   const auto jobs = all_jobs(kN);
-  std::int64_t pivots = 0, phase1 = 0;
+  std::int64_t pivots = 0;
   for (auto _ : state) {
     const stoch::PreemptiveSchedule s = stoch::solve_rpmtn(inst, jobs, p);
     pivots += s.simplex_iterations;
-    phase1 += s.simplex_phase1_iterations;
     benchmark::DoNotOptimize(s.makespan);
   }
-  report_pivots(state, pivots, phase1);
+  report_pivots(state, pivots);
 }
 BENCHMARK(BM_Rpmtn);
 
@@ -242,19 +232,17 @@ BENCHMARK(BM_ReadInstance)->Name("BM_ReadInstance/4096x32");
 
 // The default LP2 path (revised engine from the crash basis, Dantzig
 // pricing) plus the Lemma 6 rounding, on `chains`. "pivots" counts priced
-// iterations per solve and "phase1_pivots" the phase-1 share, 0 whenever
-// the crash basis installs. A numerical failure makes solve_and_round_lp2
+// iterations per solve. A numerical failure makes solve_and_round_lp2
 // throw, which aborts the whole bench run.
 void run_lp2(benchmark::State& state, const core::Instance& inst,
              const std::vector<std::vector<int>>& chains) {
-  std::int64_t pivots = 0, phase1 = 0;
+  std::int64_t pivots = 0;
   for (auto _ : state) {
     const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
     pivots += res.simplex_iterations;
-    phase1 += res.simplex_phase1_iterations;
     benchmark::DoNotOptimize(res.t_fractional);
   }
-  report_pivots(state, pivots, phase1);
+  report_pivots(state, pivots);
 }
 
 void BM_Lp2ChainsPipeline(benchmark::State& state) {

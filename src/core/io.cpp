@@ -118,7 +118,16 @@ void write_instance(std::ostream& os, const Instance& inst) {
   os << std::setprecision(17);
   for (int j = 0; j < inst.num_jobs(); ++j) {
     for (int i = 0; i < inst.num_machines(); ++i) {
-      os << (i ? " " : "") << inst.q(i, j);
+      if (i) os << ' ';
+      const double q = inst.q(i, j);
+      // A subnormal's 17 significant digits are not its exact value, and
+      // the reader rejects an inexact subnormal (strtod's ERANGE); its hex
+      // float is exact.
+      if (std::fpclassify(q) == FP_SUBNORMAL) {
+        os << std::hexfloat << q << std::defaultfloat;
+      } else {
+        os << q;
+      }
     }
     os << '\n';
   }

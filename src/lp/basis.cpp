@@ -71,11 +71,7 @@ StandardForm build_standard_form(const Problem& p) {
             -scratch[static_cast<std::size_t>(v)];
       }
       rhs = -rhs;
-      if (rr == Rel::Le) {
-        rr = Rel::Ge;
-      } else if (rr == Rel::Ge) {
-        rr = Rel::Le;
-      }
+      rr = rr == Rel::Le ? Rel::Ge : Rel::Le;
     }
     std::sort(touched.begin(), touched.end());
     auto& out = row_terms[static_cast<std::size_t>(r)];
@@ -90,13 +86,7 @@ StandardForm build_standard_form(const Problem& p) {
     sf.rhs[static_cast<std::size_t>(r)] = rhs;
   }
 
-  int n_slack = 0, n_art = 0;
-  for (const Rel rr : rel) {
-    if (rr != Rel::Eq) ++n_slack;
-    if (rr != Rel::Le) ++n_art;
-  }
-  sf.n_total = sf.n_orig + n_slack + n_art;
-  sf.art_begin = sf.n_orig + n_slack;
+  sf.n_total = sf.n_orig + m;
 
   // CSC assembly: count, prefix-sum, fill by ascending row so rows within a
   // column come out sorted.
@@ -104,14 +94,7 @@ StandardForm build_standard_form(const Problem& p) {
   for (const auto& terms : row_terms) {
     for (const auto& [v, val] : terms) ++cnt[static_cast<std::size_t>(v)];
   }
-  {
-    int slack_next = sf.n_orig;
-    int art_next = sf.art_begin;
-    for (const Rel rr : rel) {
-      if (rr != Rel::Eq) ++cnt[static_cast<std::size_t>(slack_next++)];
-      if (rr != Rel::Le) ++cnt[static_cast<std::size_t>(art_next++)];
-    }
-  }
+  for (int r = 0; r < m; ++r) ++cnt[static_cast<std::size_t>(sf.n_orig + r)];
   sf.col_ptr.assign(static_cast<std::size_t>(sf.n_total) + 1, 0);
   for (int j = 0; j < sf.n_total; ++j) {
     sf.col_ptr[static_cast<std::size_t>(j) + 1] =
@@ -122,9 +105,6 @@ StandardForm build_standard_form(const Problem& p) {
   sf.col_row.assign(static_cast<std::size_t>(nnz), 0);
   sf.col_val.assign(static_cast<std::size_t>(nnz), 0.0);
   std::vector<int> next(sf.col_ptr.begin(), sf.col_ptr.end() - 1);
-  sf.init_basis.assign(static_cast<std::size_t>(m), -1);
-  int slack_next = sf.n_orig;
-  int art_next = sf.art_begin;
   auto put = [&](int col, int r, double v) {
     const int k = next[static_cast<std::size_t>(col)]++;
     sf.col_row[static_cast<std::size_t>(k)] = r;
@@ -134,30 +114,15 @@ StandardForm build_standard_form(const Problem& p) {
     for (const auto& [v, val] : row_terms[static_cast<std::size_t>(r)]) {
       put(v, r, val);
     }
-    switch (rel[static_cast<std::size_t>(r)]) {
-      case Rel::Le:
-        put(slack_next, r, 1.0);
-        sf.init_basis[static_cast<std::size_t>(r)] = slack_next++;
-        break;
-      case Rel::Ge:
-        put(slack_next++, r, -1.0);
-        put(art_next, r, 1.0);
-        sf.init_basis[static_cast<std::size_t>(r)] = art_next++;
-        break;
-      case Rel::Eq:
-        put(art_next, r, 1.0);
-        sf.init_basis[static_cast<std::size_t>(r)] = art_next++;
-        break;
-    }
+    const bool le = rel[static_cast<std::size_t>(r)] == Rel::Le;
+    put(sf.n_orig + r, r, le ? 1.0 : -1.0);
   }
-
   return sf;
 }
 
 // ---------------------------------------------------------- BasisFactorization
 
-BasisFactorization::BasisFactorization(const StandardForm& sf, double piv_tol)
-    : sf_(&sf), piv_tol_(piv_tol) {
+BasisFactorization::BasisFactorization(const StandardForm& sf) : sf_(&sf) {
   row_to_col_.assign(static_cast<std::size_t>(sf.m), -1);
   row_refs_.resize(static_cast<std::size_t>(sf.m));
 }
@@ -233,7 +198,7 @@ bool BasisFactorization::refactorize(const std::vector<int>& cols) {
     // Partial pivoting restricted to unclaimed rows; ties break to the
     // lowest row index for determinism.
     int p = -1;
-    double best = piv_tol_;
+    double best = kPivotTol;
     for (const int r : touched) {
       if (claimed[static_cast<std::size_t>(r)]) continue;
       const double a = std::fabs(w[static_cast<std::size_t>(r)]);
@@ -429,7 +394,7 @@ void BasisFactorization::btran(ScatteredVec& v) const {
 void BasisFactorization::push_eta(int p, const std::vector<double>& w,
                                   const std::vector<int>& support) {
   // No identity skip here: update etas come from genuine pivots, whose
-  // pivot element already passed the ratio test's piv_tol gate.
+  // pivot element already passed the ratio test's kPivotTol gate.
   append(p, w[static_cast<std::size_t>(p)], w, support);
   ++update_etas_;
 }
@@ -438,10 +403,10 @@ void BasisFactorization::push_eta(int p, const std::vector<double>& w,
 
 namespace {
 
-// The revised simplex: load_objective / iterate / expel_artificials /
-// extract, with every quantity a pivot needs recomputed through the
-// factorization instead of maintained in a dense arena (the dense tableau
-// survives only as the differential oracle under tests/).
+// The revised simplex: install / load_objective / iterate / extract, with
+// every quantity a pivot needs recomputed through the factorization
+// instead of maintained in a dense arena (the dense tableau survives only
+// as the differential oracle under tests/).
 //
 // Pricing is Dantzig's rule. Reduced costs are exact each iteration
 // (recomputed from one BTRAN of c_B, never incrementally drifted), and the
@@ -450,14 +415,9 @@ namespace {
 // the optimality certificate.
 class RevisedSimplex {
  public:
-  RevisedSimplex(const StandardForm& sf, double tol)
-      : sf_(sf),
-        tol_(tol),
-        piv_tol_(std::max(tol, kPivotTol)),
-        fact_(sf, std::max(tol, kPivotTol)) {
+  explicit RevisedSimplex(const StandardForm& sf) : sf_(sf), fact_(sf) {
     basic_pos_.assign(static_cast<std::size_t>(sf_.n_total), -1);
     w_.resize(sf_.m);
-    rho_.resize(sf_.m);
     y_.assign(static_cast<std::size_t>(sf_.m), 0.0);
     support_.reserve(static_cast<std::size_t>(sf_.m));
   }
@@ -476,45 +436,26 @@ class RevisedSimplex {
     return true;
   }
 
-  /// Install SimplexOptions::seed_basis: one factorization and one FTRAN.
-  /// False when the seed does not fit (dimensions, an artificial or
-  /// repeated column, singular, infeasible vertex); the engine is left
-  /// uninstalled and the caller starts cold.
-  bool try_seed(const std::vector<int>& seed) {
-    if (static_cast<int>(seed.size()) != sf_.m) return false;
-    std::vector<char> used(static_cast<std::size_t>(sf_.n_total), 0);
-    for (const int c : seed) {
-      if (c < 0 || c >= sf_.art_begin || used[static_cast<std::size_t>(c)]) {
-        return false;
-      }
-      used[static_cast<std::size_t>(c)] = 1;
-    }
-    if (!install(seed)) return false;
-    for (const double v : xb_) {
-      if (v < 0) return false;  // vertex infeasible for this rhs
-    }
-    return true;
+  /// Install the starting basis: one factorization and one FTRAN. False
+  /// when it is singular or its vertex is infeasible for this rhs.
+  bool install_start(const std::vector<int>& cols) {
+    if (!install(cols)) return false;
+    return std::all_of(xb_.begin(), xb_.end(),
+                       [](double v) { return v >= 0; });
   }
 
-  void load_objective(const std::vector<double>& c, int allow_limit) {
+  /// Price the original variables by `c` (zero on the slacks).
+  void load_objective(const std::vector<double>& c) {
     cost_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
-    const int lim = std::min<int>(sf_.n_total, static_cast<int>(c.size()));
-    for (int j = 0; j < lim; ++j) cost_[static_cast<std::size_t>(j)] = c[j];
-    allow_limit_ = allow_limit;
+    std::copy(c.begin(), c.end(), cost_.begin());
     obj_ = basic_objective();
     compute_y();
     rebuild_candidates();
   }
 
+  /// Advisory between refactorizations: pivot() advances it by
+  /// d_enter * theta.
   double objective() const { return obj_; }
-
-  /// The objective recomputed from the basis, squashing incremental drift
-  /// (pivot() advances obj_ by d_enter * theta, so it is advisory between
-  /// refactorizations). Feasibility verdicts must read this, never obj_.
-  double exact_objective() {
-    obj_ = basic_objective();
-    return obj_;
-  }
 
   // One revised iteration. 0 = optimal, 1 = pivoted, 2 = unbounded,
   // -1 = numerical trouble (refactorization of the current basis failed).
@@ -523,10 +464,10 @@ class RevisedSimplex {
     double d_enter = 0.0;
     compute_y();
     if (bland) {
-      for (int j = 0; j < allow_limit_; ++j) {
+      for (int j = 0; j < sf_.n_total; ++j) {
         if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
         const double d = reduced_cost(j);
-        if (d < -tol_) {
+        if (d < -kSimplexTol) {
           enter = j;
           d_enter = d;
           break;
@@ -554,10 +495,10 @@ class RevisedSimplex {
     auto ratio_test = [&](int r, double a) {
       if (a == 0.0) return;
       support_.push_back(r);
-      if (a > piv_tol_) {
+      if (a > kPivotTol) {
         const double ratio = xb_[static_cast<std::size_t>(r)] / a;
-        if (ratio < best_ratio - tol_ ||
-            (ratio < best_ratio + tol_ &&
+        if (ratio < best_ratio - kSimplexTol ||
+            (ratio < best_ratio + kSimplexTol &&
              (leave < 0 || basis_[static_cast<std::size_t>(r)] <
                                basis_[static_cast<std::size_t>(leave)]))) {
           best_ratio = ratio;
@@ -582,57 +523,6 @@ class RevisedSimplex {
     return pivot(leave, enter, d_enter) ? 1 : -1;
   }
 
-  // After phase 1: drive basic artificials out where a real column can take
-  // their row; rows with no acceptable pivot are redundant and keep their
-  // artificial basic at ~0 (phase 2 locks artificials out of pricing, so
-  // they can never rise again).
-  bool expel_artificials() {
-    const double expel_tol = std::max(piv_tol_, tol_ * 10);
-    for (int r = 0; r < sf_.m; ++r) {
-      if (basis_[static_cast<std::size_t>(r)] < sf_.art_begin) continue;
-      // Row r of B^{-1}A = (B^{-T} e_r)^T A, one sparse dot per column.
-      rho_.clear();
-      rho_.insert(r, 1.0);
-      fact_.btran(rho_);
-      int enter = -1;
-      for (int j = 0; j < sf_.art_begin; ++j) {
-        if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-        if (std::fabs(dot_col(rho_.val, j)) > expel_tol) {
-          enter = j;
-          break;
-        }
-      }
-      rho_.clear();
-      if (enter < 0) continue;
-      w_.clear();
-      load_column(enter);
-      fact_.ftran(w_);
-      support_.clear();
-      if (w_.dense) {
-        for (int rr = 0; rr < sf_.m; ++rr) {
-          if (w_.val[static_cast<std::size_t>(rr)] != 0.0) {
-            support_.push_back(rr);
-          }
-        }
-      } else {
-        std::sort(w_.idx.begin(), w_.idx.end());
-        for (const int rr : w_.idx) {
-          if (w_.val[static_cast<std::size_t>(rr)] != 0.0) {
-            support_.push_back(rr);
-          }
-        }
-      }
-      if (std::fabs(w_.val[static_cast<std::size_t>(r)]) <= piv_tol_) {
-        // BTRAN said the entry is usable but FTRAN disagrees: conditioning
-        // is suspect, leave the artificial in place rather than divide.
-        w_.clear();
-        continue;
-      }
-      if (!pivot(r, enter, 0.0)) return false;
-    }
-    return true;
-  }
-
   std::vector<double> extract(int n_vars) const {
     std::vector<double> x(static_cast<std::size_t>(n_vars), 0.0);
     for (int r = 0; r < sf_.m; ++r) {
@@ -646,14 +536,13 @@ class RevisedSimplex {
   }
 
   std::vector<int>& mutable_basis() { return basis_; }
-  const std::vector<int>& basis() const { return basis_; }
 
  private:
   void compute_xb() {
     xb_ = sf_.rhs;
     fact_.ftran(xb_);
     for (double& v : xb_) {
-      if (v < 0 && v > -tol_) v = 0.0;
+      if (v < 0 && v > -kSimplexTol) v = 0.0;
     }
   }
 
@@ -708,9 +597,9 @@ class RevisedSimplex {
   void rebuild_candidates() {
     cand_.clear();
     in_cand_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-    for (int j = 0; j < allow_limit_; ++j) {
+    for (int j = 0; j < sf_.n_total; ++j) {
       if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-      if (reduced_cost(j) < -tol_) {
+      if (reduced_cost(j) < -kSimplexTol) {
         cand_.push_back(j);
         in_cand_[static_cast<std::size_t>(j)] = 1;
       }
@@ -730,7 +619,7 @@ class RevisedSimplex {
         continue;
       }
       const double d = reduced_cost(j);
-      if (!(d < -tol_)) {
+      if (!(d < -kSimplexTol)) {
         in_cand_[static_cast<std::size_t>(j)] = 0;
         continue;
       }
@@ -755,7 +644,7 @@ class RevisedSimplex {
       if (r == leave) continue;
       double& v = xb_[static_cast<std::size_t>(r)];
       v -= theta * w_.val[static_cast<std::size_t>(r)];
-      if (v < 0 && v > -tol_) v = 0.0;
+      if (v < 0 && v > -kSimplexTol) v = 0.0;
     }
     xb_[static_cast<std::size_t>(leave)] = theta;
     obj_ += d_enter * theta;
@@ -773,19 +662,15 @@ class RevisedSimplex {
   }
 
   const StandardForm& sf_;
-  double tol_;
-  double piv_tol_;
   BasisFactorization fact_;
   std::vector<int> basis_;       // basic column per row
   std::vector<int> basic_pos_;   // column -> row, -1 when nonbasic
   std::vector<double> xb_;       // basic values per row (B^{-1} b)
   std::vector<double> cost_;     // active objective, dense over columns
   double obj_ = 0.0;
-  int allow_limit_ = 0;
   std::vector<int> cand_;        // pricing shortlist (improving columns)
   std::vector<char> in_cand_;
   ScatteredVec w_;               // scratch: FTRAN'd entering column
-  ScatteredVec rho_;             // scratch: BTRAN'd e_r (expel_artificials)
   std::vector<double> y_;        // scratch: BTRAN'd pricing row
   std::vector<int> support_;     // scratch: nonzero rows of w_
   // FTRAN telemetry for the perf benches (sparsity of entering columns).
@@ -802,28 +687,31 @@ class RevisedSimplex {
 }  // namespace
 
 Solution solve_revised(const Problem& p, const StandardForm& sf,
-                       const SimplexOptions& opt) {
-  Solution sol;
-  RevisedSimplex rs(sf, opt.tol);
+                       const std::vector<int>& basis) {
   const int m = sf.m;
   const int n = sf.n_total;
-  const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);
-  const int stall_cap = detail::simplex_stall_cap(m, n);
+  SUU_CHECK_MSG(static_cast<int>(basis.size()) == m,
+                "starting basis has " << basis.size() << " columns for " << m
+                                      << " rows");
+  std::vector<char> used(static_cast<std::size_t>(n), 0);
+  for (const int c : basis) {
+    SUU_CHECK_MSG(c >= 0 && c < n,
+                  "starting basis column " << c << " outside [0, " << n << ")");
+    SUU_CHECK_MSG(!used[static_cast<std::size_t>(c)],
+                  "starting basis repeats column " << c);
+    used[static_cast<std::size_t>(c)] = 1;
+  }
+
+  Solution sol;
+  RevisedSimplex rs(sf);
   int iters = 0;
-
-  auto run_phase = [&]() -> int {
-    // The shared anti-cycling driver; -1 (numerical trouble from a failed
-    // refactorization) passes through like any non-pivot result.
-    return detail::run_simplex_phase(rs, opt.tol, iter_cap, stall_cap, iters);
-  };
-
   auto finish = [&](Solution s) {
     s.ftran_calls = rs.ftran_calls();
     s.ftran_nnz = rs.ftran_nnz();
     s.refactorizations = rs.refactorizations();
     return s;
   };
-  // A degraded factorization: report it with the pivots spent, no point.
+  // No trustworthy answer: report it with the pivots spent, no point.
   auto failure = [&]() {
     sol.status = Status::NumericalFailure;
     sol.iterations = iters;
@@ -832,55 +720,13 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
     return finish(std::move(sol));
   };
 
-  const bool seeded = !opt.seed_basis.empty() && rs.try_seed(opt.seed_basis);
-  // The initial slack/artificial basis is the identity; failing to
-  // factorize it means something is deeply wrong.
-  if (!seeded && !rs.install(sf.init_basis)) return failure();
-
-  // ---- Phase 1 (skipped from an accepted seed): minimize the sum of
-  // artificials.
-  if (!seeded && sf.art_begin < n) {
-    std::vector<double> phase1(static_cast<std::size_t>(n), 0.0);
-    for (int j = sf.art_begin; j < n; ++j) {
-      phase1[static_cast<std::size_t>(j)] = 1.0;
-    }
-    rs.load_objective(phase1, n);
-    const int res = run_phase();
-    if (res == -1 || res == 2) {
-      // Phase 1 is bounded below by zero, and iterate() prices on exact
-      // reduced costs, so this can only be a numerically corrupted
-      // factorization.
-      sol.phase1_iterations = iters;
-      return failure();
-    }
-    if (res == 3) {
-      sol.status = Status::IterLimit;
-      sol.iterations = iters;
-      sol.phase1_iterations = iters;
-      return finish(sol);
-    }
-    const double p1 = rs.exact_objective();
-    const double feas_tol = opt.tol * (1.0 + std::fabs(p1)) * 100;
-    if (p1 > feas_tol + 1e-7) {
-      sol.status = Status::Infeasible;
-      sol.iterations = iters;
-      sol.phase1_iterations = iters;
-      return finish(sol);
-    }
-    if (!rs.expel_artificials()) {
-      sol.phase1_iterations = iters;
-      return failure();
-    }
-  }
-  sol.phase1_iterations = iters;
-
-  // ---- Phase 2: original objective, artificials locked out.
-  std::vector<double> phase2(static_cast<std::size_t>(n), 0.0);
-  for (int j = 0; j < p.num_vars; ++j) {
-    phase2[static_cast<std::size_t>(j)] = p.objective[static_cast<std::size_t>(j)];
-  }
-  rs.load_objective(phase2, sf.art_begin);
-  const int res = run_phase();
+  if (!rs.install_start(basis)) return failure();
+  rs.load_objective(p.objective);
+  // The shared anti-cycling driver; -1 (numerical trouble from a failed
+  // refactorization) passes through like any non-pivot result.
+  const int res =
+      detail::run_simplex_phase(rs, detail::simplex_iter_cap(m, n),
+                                detail::simplex_stall_cap(m, n), iters);
   sol.iterations = iters;
   if (res == -1) return failure();
   if (res == 3 || res == 2) {
@@ -898,11 +744,9 @@ Solution solve_revised(const Problem& p, const StandardForm& sf,
   }
   sol.objective = obj;
 
-  if (opt.verify) {
-    double scale = 1.0;
-    for (const auto& row : p.rows) scale = std::max(scale, std::fabs(row.rhs));
-    if (max_violation(p, sol.x) > 1e-5 * scale) return failure();
-  }
+  double scale = 1.0;
+  for (const auto& row : p.rows) scale = std::max(scale, std::fabs(row.rhs));
+  if (max_violation(p, sol.x) > 1e-5 * scale) return failure();
   return finish(sol);
 }
 

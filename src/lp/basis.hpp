@@ -20,8 +20,9 @@
 // slow-FP builds (ASan CI) can trade accuracy maintenance for wall time.
 //
 // The standard form (build_standard_form) is also what the dense-tableau
-// differential oracle under tests/ scatters into its arena, so a
-// Solution::basis from either is a valid SimplexOptions::seed_basis.
+// differential oracle under tests/ scatters into its arena (appending its
+// own phase-1 artificials), so a Solution::basis from either is a valid
+// starting basis for solve_simplex.
 // solve_revised never returns a wrong answer on numerical trouble: it
 // returns Status::NumericalFailure, which callers surface as an error.
 // Dantzig pricing recomputes the reduced costs it compares from a fresh
@@ -35,8 +36,6 @@
 #include "lp/problem.hpp"
 
 namespace suu::lp {
-
-struct SimplexOptions;
 
 /// Eta-file rebuild period, in pivots. Shorter = better conditioned and
 /// cheaper FTRAN/BTRAN, more time spent refactorizing.
@@ -55,19 +54,17 @@ int parse_refactor_interval(const char* env);
 /// process).
 int refactor_interval();
 
-/// The standard form `min c·x  s.t.  Ax {<=,=} b, b >= 0, x >= 0` the
-/// simplex solves: original variables, then one slack/surplus per
-/// inequality row, then one artificial per Ge/Eq row, with rhs-negative rows
-/// sign-flipped first. Column order, duplicate-term accumulation and the
-/// initial (slack/artificial) basis are fixed, which is what makes bases
+/// The standard form `min c·x  s.t.  Ax + Ss = b, b >= 0, x, s >= 0` the
+/// simplex solves: original variables, then one slack (+1, a Le row) or
+/// surplus (-1, a Ge row) per row, so row r's is column n_orig + r.
+/// Rows with a negative rhs are sign-flipped first. Column order and
+/// duplicate-term accumulation are fixed, which is what makes bases
 /// interchangeable with the differential oracle's.
 struct StandardForm {
-  int m = 0;          ///< rows
-  int n_orig = 0;     ///< problem variables
-  int n_total = 0;    ///< + slacks + artificials
-  int art_begin = 0;  ///< first artificial column (== n_total when none)
-  std::vector<double> rhs;     ///< size m, >= 0
-  std::vector<int> init_basis; ///< size m: initial basic column per row
+  int m = 0;        ///< rows
+  int n_orig = 0;   ///< problem variables
+  int n_total = 0;  ///< n_orig + m
+  std::vector<double> rhs;  ///< size m, >= 0
   // Constraint matrix over all n_total columns in compressed sparse column
   // form (FTRAN loads, reduced-cost dots, refactorization). Rows within a
   // column are in increasing order; structural zeros dropped.
@@ -140,13 +137,13 @@ StandardForm build_standard_form(const Problem& p);
 /// vectors passed to ftran/btran are dense, length StandardForm::m.
 class BasisFactorization {
  public:
-  BasisFactorization(const StandardForm& sf, double piv_tol);
+  explicit BasisFactorization(const StandardForm& sf);
 
   /// Rebuild the file from scratch so it represents the inverse of the
   /// basis matrix formed by `cols` (a duplicate-free set of m column
   /// indices, any order). Returns false — leaving the factorization unusable
   /// until the next successful call — when the matrix is numerically
-  /// singular (no pivot above piv_tol for some column). On success,
+  /// singular (no pivot above kPivotTol for some column). On success,
   /// row_to_col()[r] names the column pivoted on row r.
   bool refactorize(const std::vector<int>& cols);
 
@@ -167,7 +164,7 @@ class BasisFactorization {
   void btran(ScatteredVec& v) const;
 
   /// Append the update eta for a pivot on row `p` with FTRAN'd entering
-  /// column `w` (dense; w[p] is the pivot element, |w[p]| > piv_tol).
+  /// column `w` (dense; w[p] is the pivot element, |w[p]| > kPivotTol).
   /// `support` lists the rows where w may be nonzero.
   void push_eta(int p, const std::vector<double>& w,
                 const std::vector<int>& support);
@@ -182,7 +179,6 @@ class BasisFactorization {
   void finish_ftran_dense(ScatteredVec& v, std::size_t first_eta) const;
 
   const StandardForm* sf_;
-  double piv_tol_;
   int update_etas_ = 0;
   // Flattened eta file: eta k pivots row pivot_row_[k] with multiplier
   // inv_piv_[k] = 1/w_p and off-pivot entries off_row_/off_val_ in
@@ -204,12 +200,12 @@ class BasisFactorization {
   mutable std::vector<char> queued_;
 };
 
-/// Solve the standard form with the revised engine, honoring every
-/// SimplexOptions field (tol, max_iters, verify, seed_basis).
-/// Returns Status::NumericalFailure instead of a wrong answer when the
-/// factorization degrades (singular refactorization, an "unbounded"
-/// phase 1, verification failure).
+/// Solve the standard form with the revised engine from `basis`, under
+/// solve_simplex's contract (lp/simplex.hpp). Returns
+/// Status::NumericalFailure instead of a wrong answer when the starting
+/// basis does not install (singular, or an infeasible vertex) or the
+/// factorization degrades (singular refactorization, verification failure).
 Solution solve_revised(const Problem& p, const StandardForm& sf,
-                       const SimplexOptions& opt);
+                       const std::vector<int>& basis);
 
 }  // namespace suu::lp

@@ -1,7 +1,6 @@
 #include "lp/problem.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
@@ -49,9 +48,6 @@ double max_violation(const Problem& p, const std::vector<double>& x) {
         break;
       case Rel::Ge:
         worst = std::max(worst, row.rhs - lhs);
-        break;
-      case Rel::Eq:
-        worst = std::max(worst, std::fabs(lhs - row.rhs));
         break;
     }
   }

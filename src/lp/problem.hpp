@@ -1,7 +1,8 @@
 // General linear-program description consumed by the simplex solver.
 //
-// All variables are implicitly nonnegative (x >= 0); every LP the paper
-// uses (LP1, LP2, Lawler–Labetoulle) has this form.
+// All variables are implicitly nonnegative (x >= 0) and every row is an
+// inequality; every LP the paper uses (LP1, LP2, Lawler–Labetoulle) has
+// this form.
 #pragma once
 
 #include <cstdint>
@@ -11,7 +12,7 @@
 
 namespace suu::lp {
 
-enum class Rel { Le, Ge, Eq };
+enum class Rel { Le, Ge };
 
 /// One linear constraint: sum of coeff*x over `terms` REL rhs.
 struct Row {
@@ -33,11 +34,13 @@ struct Problem {
   void add_row(Row row);
 };
 
-/// Solve verdicts. NumericalFailure is the simplex reporting that its
-/// basis factorization degraded (a singular refactorization, an "unbounded"
-/// phase 1, a point that fails verification) instead of returning a wrong
-/// answer; callers surface it as an error. The differential oracle holds it
-/// at zero.
+/// Solve verdicts. NumericalFailure is the simplex reporting that it has no
+/// trustworthy answer (a starting basis that is singular or primal
+/// infeasible, a singular refactorization, a point that fails verification)
+/// instead of returning a wrong one; callers surface it as an error. The
+/// differential oracle holds it at zero. Infeasible is the dense-tableau
+/// oracle's verdict (tests/lp_tableau_oracle.hpp): the simplex starts from
+/// a feasible basis, so it never proves infeasibility.
 enum class Status {
   Optimal,
   Infeasible,
@@ -52,15 +55,13 @@ struct Solution {
   Status status = Status::IterLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< size num_vars when status == Optimal
-  /// Simplex pivots spent (both phases). Excludes the factorization of a
-  /// seed basis (SimplexOptions::seed_basis), which is not a priced
-  /// iteration.
+  /// Simplex iterations spent: every pivot plus the final pricing pass
+  /// that finds no entering column (so 1 from an optimal basis). Excludes
+  /// the factorization of the starting basis.
   int iterations = 0;
-  /// Pivots spent in phase 1 (0 when an accepted seed basis skipped it).
-  int phase1_iterations = 0;
   /// Basic column per row on Status::Optimal (the standard form's column
-  /// numbering: originals, then slacks, then artificials). Valid as
-  /// SimplexOptions::seed_basis for a follow-up solve.
+  /// numbering: originals, then one slack per row). Valid as the starting
+  /// basis of a follow-up solve.
   std::vector<int> basis;
   /// FTRAN telemetry: entering-column solves performed and the summed
   /// support sizes they produced. ftran_nnz / (ftran_calls * m) is the
@@ -68,14 +69,13 @@ struct Solution {
   /// benches report it.
   std::int64_t ftran_calls = 0;
   std::int64_t ftran_nnz = 0;
-  /// Basis factorizations performed: the initial or seed-basis install
-  /// plus every scheduled mid-solve refactorization.
+  /// Basis factorizations performed: the starting-basis install plus every
+  /// scheduled mid-solve refactorization.
   std::int64_t refactorizations = 0;
 };
 
-/// Check primal feasibility of a candidate point within tolerance `tol`
-/// (row violation and negativity measured absolutely).
-/// Returns the maximum violation found (0 when feasible).
+/// Check primal feasibility of a candidate point: the largest row violation
+/// or negativity, measured absolutely (0 when feasible).
 double max_violation(const Problem& p, const std::vector<double>& x);
 
 }  // namespace suu::lp

@@ -26,10 +26,7 @@ void check_jobs(const core::Instance& inst, const std::vector<int>& jobs) {
 }
 
 Lp1Fractional solve_with_simplex(Lp1Program prog) {
-  // From the crash basis the solve skips phase 1.
-  lp::SimplexOptions sopt;
-  sopt.seed_basis = std::move(prog.crash_basis);
-  const lp::Solution sol = lp::solve_simplex(prog.problem, sopt);
+  const lp::Solution sol = lp::solve_simplex(prog.problem, prog.crash_basis);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP1 solve failed: " << lp::to_string(sol.status));
 
@@ -37,7 +34,6 @@ Lp1Fractional solve_with_simplex(Lp1Program prog) {
   frac.t = sol.x[prog.t_var];
   frac.lower_bound = frac.t;
   frac.simplex_iterations = sol.iterations;
-  frac.simplex_phase1_iterations = sol.phase1_iterations;
   frac.ftran_calls = sol.ftran_calls;
   frac.ftran_nnz = sol.ftran_nnz;
   frac.x.resize(prog.var_of.size());
@@ -125,16 +121,15 @@ Lp1Program build_lp1_program(const core::Instance& inst,
     p.add_row(std::move(row));
   }
 
-  // Crash basis: LP1 always admits a primal-feasible starting basis that
-  // skips phase 1 outright. Assign each job greedily to the machine
+  // Crash basis: LP1 always admits a primal-feasible starting basis, which
+  // the simplex requires. Assign each job greedily to the machine
   // minimizing its resulting load (x_ij = L/ell' satisfies the cover row
   // with the surplus nonbasic) and take as basic columns the chosen x_ij
   // per cover row, t on the most-loaded machine's row (t = max load keeps
   // every other load slack nonnegative) and the remaining load slacks. The
   // basis matrix is block triangular — diagonal over the cover rows, the
-  // nonsingular [t | slacks] block over the load rows — so the seed always
-  // installs, and phase 1 (the bulk of a cold solve's pivots: ~4.3n at
-  // n=1024) vanishes.
+  // nonsingular [t | slacks] block over the load rows — so it always
+  // installs.
   std::vector<double> load(inst.num_machines(), 0.0);
   std::vector<int> chosen(jobs.size(), -1);   // var index per job
   std::vector<int> machine(jobs.size(), -1);  // its machine

@@ -36,8 +36,8 @@ struct Lp1Options {
 
 /// LP1(J', L) as the simplex solves it: the program (variable 0 is t,
 /// cover rows normalized by L come first, one per listed job, then one load
-/// row per capable machine), its greedy crash basis (primal feasible, so
-/// the solve skips phase 1) and the variable map var_of[idx] = (machine,
+/// row per capable machine), its greedy crash basis (primal feasible: the
+/// simplex's starting basis) and the variable map var_of[idx] = (machine,
 /// variable) over the capable pairs of jobs[idx]. Same preconditions as
 /// solve_lp1.
 struct Lp1Program {
@@ -58,10 +58,8 @@ struct Lp1Fractional {
   double lower_bound = 0.0;
   /// Sparse solution: x[idx] pairs with jobs[idx]; entries (machine, value).
   std::vector<std::vector<std::pair<int, double>>> x;
-  /// Simplex pivots spent (0 for Frank–Wolfe) and the phase-1 share (0
-  /// whenever the crash basis installs, which is every LP1).
+  /// Simplex pivots spent (0 for Frank–Wolfe).
   int simplex_iterations = 0;
-  int simplex_phase1_iterations = 0;
   /// FTRAN telemetry forwarded from lp::Solution (0 for Frank–Wolfe).
   /// ftran_nnz / (ftran_calls * rows) is the average fill the sparse eta
   /// kernels actually touched — the perf benches report it.

@@ -42,8 +42,8 @@ Lp2Program build_lp2_program(const core::Instance& inst,
   d_var.assign(inst.num_jobs(), -1);
   for (const int j : jobs) d_var[j] = p.add_var(0.0);
 
-  // Crash basis: LP2 always admits a primal-feasible start that skips
-  // phase 1. Put each job on its best machine i* = argmax_i ell'_ij with
+  // Crash basis: LP2 always admits a primal-feasible start, which the
+  // simplex requires. Put each job on its best machine i* = argmax_i ell'_ij with
   // x_{i*j} = d_j = 1/ell'_{i*j} (>= 1, since ell' <= 1). Basic per job:
   // x_{i*j} on the cover row and d_j on the (i*, j) cap row (both tight),
   // the surplus of d_j >= 1 and the slacks of the job's other cap rows
@@ -150,9 +150,7 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
   const std::vector<int>& d_var = prog.d_var;
   const auto& var_of = prog.var_of;
   const int t_var = prog.t_var;
-  lp::SimplexOptions sopt;
-  sopt.seed_basis = std::move(prog.crash_basis);
-  const lp::Solution sol = lp::solve_simplex(prog.problem, sopt);
+  const lp::Solution sol = lp::solve_simplex(prog.problem, prog.crash_basis);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "LP2 solve failed: " << lp::to_string(sol.status));
 
@@ -160,8 +158,7 @@ Lp2Result solve_and_round_lp2(const core::Instance& inst,
                                           inst.num_machines()),
                 std::vector<std::int64_t>(inst.num_jobs(), 1),
                 sol.x[t_var],
-                sol.iterations,
-                sol.phase1_iterations};
+                sol.iterations};
 
   // ---- Lemma 6 rounding: Lemma 2's group flow with group->machine edge
   // caps ceil(6 d*_j).

@@ -28,17 +28,16 @@ struct Lp2Result {
   std::vector<std::int64_t> d;
   /// Fractional LP2 optimum (Lemma 5: a lower bound on O(E[T_OPT])).
   double t_fractional = 0.0;
-  /// Simplex pivots spent on the relaxation, and the phase-1 share.
+  /// Simplex pivots spent on the relaxation.
   int simplex_iterations = 0;
-  int simplex_phase1_iterations = 0;
 };
 
 /// LP2 over `chains` as the simplex solves it: the program (variable 0 is
 /// t, then d_j per listed job in chain order, then x_ij over the capable
 /// pairs; per listed job its x_ij <= d_j cap rows, its cover row and its
 /// d_j >= 1 row, then one load row per machine capable of a listed job,
-/// then one length row per chain), its crash basis (primal feasible, so
-/// the solve skips phase 1), the listed jobs in chain order, d_var[j] (-1
+/// then one length row per chain), its crash basis (primal feasible: the
+/// simplex's starting basis), the listed jobs in chain order, d_var[j] (-1
 /// for unlisted jobs) and var_of[idx] = (machine, variable) over the
 /// capable pairs of jobs[idx]. Same preconditions as solve_and_round_lp2.
 struct Lp2Program {

@@ -101,16 +101,13 @@ PreemptiveSchedule solve_timetable(const StochInstance& inst,
     if (crash[r] == kOwnSlack) crash[r] = prob.num_vars + static_cast<int>(r);
   }
 
-  lp::SimplexOptions sopt;
-  sopt.seed_basis = std::move(crash);
-  const lp::Solution sol = lp::solve_simplex(prob, sopt);
+  const lp::Solution sol = lp::solve_simplex(prob, crash);
   SUU_CHECK_MSG(sol.status == lp::Status::Optimal,
                 "R|pmtn|Cmax LP failed: " << lp::to_string(sol.status));
 
   PreemptiveSchedule out;
   out.makespan = sol.x[c_var];
   out.simplex_iterations = sol.iterations;
-  out.simplex_phase1_iterations = sol.phase1_iterations;
   out.x.assign(static_cast<std::size_t>(m) * static_cast<std::size_t>(k), 0.0);
   for (int idx = 0; idx < k; ++idx) {
     for (const auto& [i, var] : var_of[static_cast<std::size_t>(idx)]) {

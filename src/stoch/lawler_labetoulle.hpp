@@ -9,8 +9,8 @@
 // timetable as an actual preemptive schedule of length C.
 //
 // This is the substrate STC-I (Appendix C) resolves each of its doubling
-// rounds against. The LP starts from a primal-feasible crash basis, so it
-// runs no phase 1 (docs/lp-internals.md, "Crash bases").
+// rounds against. The simplex starts from the LP's primal-feasible crash
+// basis (docs/lp-internals.md, "Crash bases").
 #pragma once
 
 #include <vector>
@@ -26,10 +26,8 @@ struct PreemptiveSchedule {
   /// Timetable x_ij (row-major machine x job over the *selected* jobs,
   /// indexed by position in `jobs` passed to solve_rpmtn).
   std::vector<double> x;
-  /// Simplex pivots the LP took, and the phase-1 share (0 whenever the
-  /// crash basis installs).
+  /// Simplex pivots the LP took from its crash basis.
   int simplex_iterations = 0;
-  int simplex_phase1_iterations = 0;
 };
 
 /// Solve R|pmtn|Cmax for the given subset of jobs with processing

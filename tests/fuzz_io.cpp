@@ -31,17 +31,24 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   limits.max_machines = 128;
   limits.max_cells = 4096;
   limits.max_edges = 512;
+  std::ostringstream os;
+  std::uint64_t fingerprint = 0;
   try {
     const suu::core::Instance inst = suu::core::read_instance(is, limits);
-    std::ostringstream os;
     suu::core::write_instance(os, inst);
-    std::istringstream is2(os.str());
-    const suu::core::Instance again = suu::core::read_instance(is2, limits);
-    if (again.fingerprint() != inst.fingerprint()) {
-      __builtin_trap();  // round-trip broke: serialization bug
-    }
+    fingerprint = inst.fingerprint();
   } catch (const suu::core::ParseError&) {
     // The typed rejection path — the only acceptable failure mode.
+    return 0;
+  }
+  // An accepted instance's own text must parse back, to the same
+  // fingerprint: a ParseError here is a serialization bug, not a rejection.
+  std::istringstream is2(os.str());
+  try {
+    const suu::core::Instance again = suu::core::read_instance(is2, limits);
+    if (again.fingerprint() != fingerprint) __builtin_trap();
+  } catch (const suu::core::ParseError&) {
+    __builtin_trap();
   }
   return 0;
 }

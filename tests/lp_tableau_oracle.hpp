@@ -1,14 +1,18 @@
 // The dense two-phase tableau simplex, kept as the differential oracle the
 // revised engine (lp/basis.hpp, libsuu's only simplex) is tested against:
-// test_lp_differential, test_simplex, test_lp_crash_start, test_stoch and
-// test_lp2_chains_differential compare verdicts and objectives with it.
+// test_lp_differential, test_simplex, test_lp_crash_start, test_stoch,
+// test_fw_cover and test_lp2_chains_differential compare verdicts and
+// objectives with it.
 //
 // It solves the same standard form (lp::build_standard_form) through the
 // same anti-cycling driver (lp::detail::run_simplex_phase), but keeps the
 // whole B^{-1}A explicit in a flat row-major arena and pays O(m·n) per
-// pivot. solve_tableau ignores SimplexOptions::seed_basis (every solve
-// starts cold) and prices with Dantzig's rule, the engine's only rule. It
-// is test code: nothing in libsuu links it.
+// pivot. Unlike the engine it needs no starting basis: it appends one
+// artificial column per surplus row and runs phase 1 from the
+// slack/artificial basis, so it is also what proves a program infeasible
+// and what finds a first feasible basis to start the engine from. It
+// prices with Dantzig's rule, the engine's only rule. It is test code:
+// nothing in libsuu links it.
 #pragma once
 
 #include <algorithm>
@@ -111,22 +115,34 @@ class Tableau {
   // The shared standard form (lp/basis.hpp) reproduces this engine's
   // historical normalization bit for bit, so scattering its sparse columns
   // into the arena builds the exact tableau the old inline construction did.
-  Tableau(const StandardForm& sf, double tol)
-      : tol_(tol), piv_tol_(std::max(tol, kPivotTol)) {
+  // The artificials follow the standard form's columns, one per surplus
+  // (Ge) row in row order; the initial basis is row r's slack on a Le row
+  // and its artificial on a Ge row, the identity.
+  explicit Tableau(const StandardForm& sf) {
     m_ = sf.m;
     n_orig_ = sf.n_orig;
-    n_total_ = sf.n_total;
-    art_begin_ = sf.art_begin;
+    art_begin_ = sf.n_total;
+    n_total_ = art_begin_;
+    basis_.resize(static_cast<std::size_t>(m_));
+    for (int r = 0; r < m_; ++r) {
+      const int slack = n_orig_ + r;
+      const bool surplus =
+          sf.col_val[static_cast<std::size_t>(sf.col_ptr[slack])] < 0;
+      basis_[static_cast<std::size_t>(r)] = surplus ? n_total_++ : slack;
+    }
     stride_ = n_total_;
     arena_.assign(static_cast<std::size_t>(m_) * stride_, 0.0);
     rhs_ = sf.rhs;
-    basis_ = sf.init_basis;
-    for (int j = 0; j < n_total_; ++j) {
+    for (int j = 0; j < sf.n_total; ++j) {
       for (int k = sf.col_ptr[static_cast<std::size_t>(j)];
            k < sf.col_ptr[static_cast<std::size_t>(j) + 1]; ++k) {
         row(sf.col_row[static_cast<std::size_t>(k)])[j] =
             sf.col_val[static_cast<std::size_t>(k)];
       }
+    }
+    for (int r = 0; r < m_; ++r) {
+      const int b = basis_[static_cast<std::size_t>(r)];
+      if (b >= art_begin_) row(r)[b] = 1.0;
     }
   }
 
@@ -177,7 +193,7 @@ class Tableau {
       // Bland's least-index rule, full scan — preserved verbatim as the
       // anti-cycling guard (the candidate list is bypassed, not consulted).
       for (int j = 0; j < allow_limit_; ++j) {
-        if (cost_[j] < -tol_) {
+        if (cost_[j] < -kSimplexTol) {
           enter = j;
           break;
         }
@@ -195,7 +211,7 @@ class Tableau {
     }
     if (enter < 0) return 0;
 
-    // Ratio test. Entries below piv_tol_ are rejected as pivots: dividing
+    // Ratio test. Entries below kPivotTol are rejected as pivots: dividing
     // the row by a near-zero element would swamp the tableau with roundoff.
     // Ties break toward the lowest basis index (the Bland tie-break), which
     // keeps degenerate ties deterministic.
@@ -204,10 +220,10 @@ class Tableau {
     const double* col = arena_.data() + enter;
     for (int r = 0; r < rows(); ++r, col += stride_) {
       const double a = *col;
-      if (a > piv_tol_) {
+      if (a > kPivotTol) {
         const double ratio = rhs_[r] / a;
-        if (ratio < best_ratio - tol_ ||
-            (ratio < best_ratio + tol_ &&
+        if (ratio < best_ratio - kSimplexTol ||
+            (ratio < best_ratio + kSimplexTol &&
              (leave < 0 || basis_[r] < basis_[leave]))) {
           best_ratio = ratio;
           leave = r;
@@ -257,7 +273,7 @@ class Tableau {
       }
       prr[enter] = 0.0;
       rhs_[rr] -= f * rhs_[r];
-      if (rhs_[rr] < 0 && rhs_[rr] > -tol_) rhs_[rr] = 0.0;
+      if (rhs_[rr] < 0 && rhs_[rr] > -kSimplexTol) rhs_[rr] = 0.0;
     }
     if (!cost_.empty()) {
       const double fc = cost_[enter];
@@ -285,7 +301,7 @@ class Tableau {
       int enter = -1;
       const double* const row_r = row(r);
       for (int j = 0; j < art_begin_; ++j) {
-        if (std::fabs(row_r[j]) > std::max(piv_tol_, tol_ * 10)) {
+        if (std::fabs(row_r[j]) > kSimplexTol * 10) {
           enter = j;
           break;
         }
@@ -307,7 +323,7 @@ class Tableau {
     cand_.clear();
     in_cand_.assign(static_cast<std::size_t>(n_total_), 0);
     for (int j = 0; j < allow_limit_; ++j) {
-      if (cost_[j] < -tol_) {
+      if (cost_[j] < -kSimplexTol) {
         cand_.push_back(j);
         in_cand_[static_cast<std::size_t>(j)] = 1;
       }
@@ -315,7 +331,7 @@ class Tableau {
   }
 
   void maybe_add_candidate(int j) {
-    if (j < allow_limit_ && cost_[j] < -tol_ &&
+    if (j < allow_limit_ && cost_[j] < -kSimplexTol &&
         !in_cand_[static_cast<std::size_t>(j)]) {
       cand_.push_back(j);
       in_cand_[static_cast<std::size_t>(j)] = 1;
@@ -332,7 +348,7 @@ class Tableau {
     for (std::size_t k = 0; k < cand_.size(); ++k) {
       const int j = cand_[k];
       const double c = cost_[j];
-      if (!(c < -tol_)) {
+      if (!(c < -kSimplexTol)) {
         in_cand_[static_cast<std::size_t>(j)] = 0;
         continue;  // stale: drop
       }
@@ -346,8 +362,6 @@ class Tableau {
     return enter;
   }
 
-  double tol_;
-  double piv_tol_;
   int m_ = 0;
   int n_orig_ = 0;
   int n_total_ = 0;
@@ -366,34 +380,50 @@ class Tableau {
   std::vector<int> support_;   // scratch: pivot-row nonzero columns
 };
 
-/// Solve `min c·x, rows, x >= 0` on the dense tableau (cold start).
-inline Solution solve_tableau(const Problem& p,
-                              const SimplexOptions& opt = {}) {
-  Solution sol;
+/// The oracle's verdict plus the first feasible basis it found.
+struct TableauSolution : Solution {
+  /// Phase-1 pivots (0 when the slack basis is already feasible).
+  int phase1_iterations = 0;
+  /// The basis at the end of phase 1, artificials expelled: a valid
+  /// starting basis for lp::solve_simplex. Empty when the program is
+  /// infeasible or an artificial stayed basic on a redundant row.
+  std::vector<int> feasible_basis;
+};
+
+/// Solve `min c·x, rows, x >= 0` on the dense tableau, two-phase from the
+/// slack/artificial basis. Solution::basis is set on Status::Optimal only
+/// when no artificial stayed basic, so it too is always a valid starting
+/// basis for lp::solve_simplex.
+inline TableauSolution solve_tableau(const Problem& p) {
+  TableauSolution sol;
   if (p.num_vars == 0) {
     // Trivially optimal iff every row is satisfied by x = {}.
     sol.objective = 0.0;
     sol.status = Status::Optimal;
     for (const auto& row : p.rows) {
-      const bool ok = (row.rel == Rel::Le && row.rhs >= -opt.tol) ||
-                      (row.rel == Rel::Ge && row.rhs <= opt.tol) ||
-                      (row.rel == Rel::Eq && std::fabs(row.rhs) <= opt.tol);
+      const bool ok = (row.rel == Rel::Le && row.rhs >= -kSimplexTol) ||
+                      (row.rel == Rel::Ge && row.rhs <= kSimplexTol);
       if (!ok) sol.status = Status::Infeasible;
     }
     return sol;
   }
 
   const StandardForm sf = build_standard_form(p);
-  Tableau tab(sf, opt.tol);
+  Tableau tab(sf);
   const int m = tab.rows();
   const int n = tab.cols();
-  const int iter_cap = detail::simplex_iter_cap(m, n, opt.max_iters);
+  const int iter_cap = detail::simplex_iter_cap(m, n);
   const int stall_cap = detail::simplex_stall_cap(m, n);
 
   int iters = 0;
 
   auto run_phase = [&]() -> int {
-    return detail::run_simplex_phase(tab, opt.tol, iter_cap, stall_cap, iters);
+    return detail::run_simplex_phase(tab, iter_cap, stall_cap, iters);
+  };
+  auto artificial_free = [&]() {
+    const std::vector<int>& b = tab.basis();
+    return std::none_of(b.begin(), b.end(),
+                        [&](int c) { return c >= tab.art_begin(); });
   };
 
   // ---- Phase 1: minimize the sum of artificials.
@@ -411,7 +441,7 @@ inline Solution solve_tableau(const Problem& p,
     SUU_CHECK_MSG(res != 2, "phase-1 LP cannot be unbounded");
     // Feasible iff all artificials ended at ~0.
     const double p1 = tab.objective();
-    const double feas_tol = opt.tol * (1.0 + std::fabs(p1)) * 100;
+    const double feas_tol = kSimplexTol * (1.0 + std::fabs(p1)) * 100;
     if (p1 > feas_tol + 1e-7) {
       sol.status = Status::Infeasible;
       sol.iterations = iters;
@@ -421,6 +451,7 @@ inline Solution solve_tableau(const Problem& p,
     tab.expel_artificials();
   }
   sol.phase1_iterations = iters;
+  if (artificial_free()) sol.feasible_basis = tab.basis();
 
   // ---- Phase 2: original objective; artificial columns are locked out.
   std::vector<double> phase2(n, 0.0);
@@ -435,18 +466,16 @@ inline Solution solve_tableau(const Problem& p,
 
   sol.status = Status::Optimal;
   sol.x = tab.extract(p.num_vars);
-  sol.basis = std::move(tab.mutable_basis());
+  if (artificial_free()) sol.basis = std::move(tab.mutable_basis());
   double obj = 0.0;
   for (int j = 0; j < p.num_vars; ++j) obj += p.objective[j] * sol.x[j];
   sol.objective = obj;
 
-  if (opt.verify) {
-    double scale = 1.0;
-    for (const auto& row : p.rows) scale = std::max(scale, std::fabs(row.rhs));
-    const double viol = max_violation(p, sol.x);
-    SUU_CHECK_MSG(viol <= 1e-5 * scale,
-                  "simplex result violates constraints by " << viol);
-  }
+  double scale = 1.0;
+  for (const auto& row : p.rows) scale = std::max(scale, std::fabs(row.rhs));
+  const double viol = max_violation(p, sol.x);
+  SUU_CHECK_MSG(viol <= 1e-5 * scale,
+                "simplex result violates constraints by " << viol);
   return sol;
 }
 

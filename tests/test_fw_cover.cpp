@@ -9,7 +9,7 @@
 
 #include "core/generators.hpp"
 #include "lp/problem.hpp"
-#include "lp/simplex.hpp"
+#include "lp_tableau_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "rounding/lp1.hpp"
 #include "util/check.hpp"
@@ -18,6 +18,7 @@
 namespace suu::lp {
 namespace {
 
+// The LP optimum of `sys`, from the dense tableau oracle.
 double exact_opt(const CoverSystem& sys) {
   Problem p;
   const int t = p.add_var(1.0);
@@ -42,7 +43,7 @@ double exact_opt(const CoverSystem& sys) {
     loads[i].rhs = 0.0;
     p.add_row(std::move(loads[i]));
   }
-  const Solution s = solve_simplex(p);
+  const Solution s = oracle::solve_tableau(p);
   SUU_CHECK(s.status == Status::Optimal);
   return s.objective;
 }

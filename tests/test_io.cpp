@@ -323,6 +323,31 @@ TEST(InstanceIo, CorpusFingerprintsPinned) {
   EXPECT_EQ(fp("valid_small"), 0xff5d1e426d12f0fdULL);
 }
 
+TEST(InstanceIo, SubnormalProbabilitiesRoundTrip) {
+  // The reader accepts an exact subnormal but rejects an inexact one, so
+  // the writer emits subnormals as hex floats. Every other value keeps its
+  // 17-significant-digit text.
+  const std::string text =
+      "suu-instance v1\n1 4\n0x1p-1074 0x1p-1030 0.5 2.2250738585072014e-308\n"
+      "0\n";
+  const Instance inst = read_instance(text);
+  std::ostringstream os;
+  write_instance(os, inst);
+  EXPECT_EQ(os.str(),
+            "suu-instance v1\n1 4\n0x0.0000000000001p-1022 0x0.01p-1022 0.5 "
+            "2.2250738585072014e-308\n0\n");
+  const Instance back = read_instance(os.str());
+  expect_same(inst, back);
+  EXPECT_EQ(back.fingerprint(), inst.fingerprint());
+  // The corpus seed the fuzzer starts from round-trips too.
+  const std::string seed =
+      file_bytes(std::string(SUU_IO_CORPUS_DIR) + "/subnormal_probability");
+  const Instance a = read_instance(seed);
+  std::ostringstream again;
+  write_instance(again, a);
+  EXPECT_EQ(read_instance(again.str()).fingerprint(), a.fingerprint());
+}
+
 TEST(InstanceIo, FileRoundTrip) {
   util::Rng rng(4);
   const Instance inst =

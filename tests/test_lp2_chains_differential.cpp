@@ -1,13 +1,13 @@
-// LP2 chains oracle (labelled `differential` in ctest): the LP2 relaxation
-// of make_chains(nc, 2, 5, 4) instances, written out independently and
-// solved cold, must reach Optimal — never NumericalFailure, which the
-// revised engine once hit on most 32+-chain instances when it priced off
-// stale incremental reduced costs — at the default path's fractional
-// optimum t*. The default path (solve_and_round_lp2) starts from the crash
-// basis of rounding::build_lp2_program; it must skip phase 1 on every
-// instance here, chains, forests and hand-built edge cases alike.
-// Where the dense tableau oracle (tests/lp_tableau_oracle.hpp) is cheap
-// enough, t* must also equal its objective.
+// LP2 chains oracle (labelled `differential` in ctest): the default path
+// (solve_and_round_lp2, which starts from the crash basis of
+// rounding::build_lp2_program and throws on anything but Optimal) must
+// reach the fractional optimum t* of the LP2 relaxation written out
+// independently here, as the dense tableau oracle
+// (tests/lp_tableau_oracle.hpp) solves it. The revised engine, started on
+// the independent program from the oracle's first feasible basis, must
+// reach Optimal at the same t* — never NumericalFailure, which it once hit
+// on most 32+-chain instances when it priced off stale incremental reduced
+// costs. This holds on chains, forests and hand-built edge cases alike.
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -75,63 +75,41 @@ lp::Problem lp2_program(const core::Instance& inst,
   return p;
 }
 
-TEST(Lp2ChainsDifferential, ColdSolveOptimalAndMatchesTheOracle) {
+// The default path's t* on `chains` is within 1e-9 (relative) of the
+// oracle's objective on lp2_program, and the revised engine reaches it too
+// from the oracle's first feasible basis.
+void expect_matches_oracle(const core::Instance& inst,
+                           const std::vector<std::vector<int>>& chains,
+                           const std::string& at) {
+  const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
+  const lp::Problem program = lp2_program(inst, chains);
+  const lp::oracle::TableauSolution ref = lp::oracle::solve_tableau(program);
+  ASSERT_EQ(ref.status, lp::Status::Optimal) << at;
+  const double tol = 1e-9 * std::fabs(ref.objective);
+  EXPECT_NEAR(res.t_fractional, ref.objective, tol)
+      << at << ": crash-started t* differs from the tableau oracle";
+  ASSERT_EQ(ref.feasible_basis.size(), program.rows.size()) << at;
+  const lp::Solution sol = lp::solve_simplex(program, ref.feasible_basis);
+  ASSERT_EQ(sol.status, lp::Status::Optimal)
+      << at << ": " << lp::to_string(sol.status);
+  EXPECT_NEAR(sol.objective, ref.objective, tol)
+      << at << ": revised t* from the oracle's feasible basis differs";
+}
+
+TEST(Lp2ChainsDifferential, ChainsMatchTheOracle) {
   for (const int nc : {16, 32, 64}) {
     for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
       util::Rng rng(seed);
       const core::Instance inst = core::make_chains(
           nc, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
-      const auto chains = inst.dag().chains();
-      const lp::Problem program = lp2_program(inst, chains);
-      const std::string at = "chains=" + std::to_string(nc) +
-                             " seed=" + std::to_string(seed);
-      // The default path (crash basis) throws on anything but Optimal and
-      // runs no phase 1; the cold solve must reach the same t*.
-      const rounding::Lp2Result res =
-          rounding::solve_and_round_lp2(inst, chains);
-      EXPECT_EQ(res.simplex_phase1_iterations, 0)
-          << at << ": the crash basis did not install";
-      const double reference = res.t_fractional;
-      const lp::Solution sol = lp::solve_simplex(program);
-      ASSERT_EQ(sol.status, lp::Status::Optimal)
-          << at << ": " << lp::to_string(sol.status);
-      EXPECT_NEAR(sol.objective, reference, 1e-9 * std::fabs(reference))
-          << at;
-      if (nc == 16) {
-        const lp::Solution ref = lp::oracle::solve_tableau(program);
-        ASSERT_EQ(ref.status, lp::Status::Optimal) << at;
-        EXPECT_NEAR(reference, ref.objective, 1e-9 * std::fabs(ref.objective))
-            << at << ": revised t* differs from the tableau oracle";
-      }
+      expect_matches_oracle(inst, inst.dag().chains(),
+                            "chains=" + std::to_string(nc) +
+                                " seed=" + std::to_string(seed));
     }
   }
 }
 
-// The default path solves `chains` from the crash basis: no phase-1
-// pivot, and t* within 1e-9 (relative) of the cold solve of lp2_program and,
-// when `tableau` is set, of the dense tableau oracle.
-void expect_crash_start(const core::Instance& inst,
-                        const std::vector<std::vector<int>>& chains,
-                        const std::string& at, bool tableau) {
-  const rounding::Lp2Result res = rounding::solve_and_round_lp2(inst, chains);
-  EXPECT_EQ(res.simplex_phase1_iterations, 0)
-      << at << ": the crash basis did not install";
-  const lp::Problem program = lp2_program(inst, chains);
-  const lp::Solution cold = lp::solve_simplex(program);
-  ASSERT_EQ(cold.status, lp::Status::Optimal) << at;
-  EXPECT_NEAR(res.t_fractional, cold.objective,
-              1e-9 * std::fabs(cold.objective))
-      << at << ": crash-started t* differs from the cold solve";
-  if (tableau) {
-    const lp::Solution ref = lp::oracle::solve_tableau(program);
-    ASSERT_EQ(ref.status, lp::Status::Optimal) << at;
-    EXPECT_NEAR(res.t_fractional, ref.objective,
-                1e-9 * std::fabs(ref.objective))
-        << at << ": crash-started t* differs from the tableau oracle";
-  }
-}
-
-TEST(Lp2CrashBasis, ForestBlocksSkipPhase1) {
+TEST(Lp2CrashBasis, ForestBlocksMatchTheOracle) {
   // dag_solve's forest class: the all-blocks LP2 behind the forest lower
   // bound and the per-block LP2 of every SUU-T heavy-path block, under the
   // volunteer-computing classes and U[0.3, 0.9].
@@ -147,16 +125,16 @@ TEST(Lp2CrashBasis, ForestBlocksSkipPhase1) {
                              " seed=" + std::to_string(seed);
       std::vector<std::vector<int>> all;
       for (std::size_t b = 0; b < dec.blocks.size(); ++b) {
-        expect_crash_start(inst, dec.blocks[b],
-                           at + " block=" + std::to_string(b), false);
+        expect_matches_oracle(inst, dec.blocks[b],
+                              at + " block=" + std::to_string(b));
         all.insert(all.end(), dec.blocks[b].begin(), dec.blocks[b].end());
       }
-      expect_crash_start(inst, all, at + " all blocks", false);
+      expect_matches_oracle(inst, all, at + " all blocks");
     }
   }
 }
 
-TEST(Lp2CrashBasis, EdgeCasesSkipPhase1) {
+TEST(Lp2CrashBasis, EdgeCasesMatchTheOracle) {
   // q is row-major by job (q[j * m + i]); q = 1 means incapable, q <= 0.5
   // means ell' = 1 (d_j = 1, so the d_j >= 1 surplus is a degenerate 0).
   struct Case {
@@ -185,7 +163,7 @@ TEST(Lp2CrashBasis, EdgeCasesSkipPhase1) {
   };
   for (const Case& c : cases) {
     const core::Instance inst = core::Instance::independent(c.n, c.m, c.q);
-    expect_crash_start(inst, c.chains, c.what, true);
+    expect_matches_oracle(inst, c.chains, c.what);
   }
 }
 

@@ -1,7 +1,7 @@
 // Unit tests for the crash-started LP paths and the hardened
 // SUU_LP_REFACTOR_INTERVAL parsing (lp/basis.hpp). The end-to-end
-// guarantees — identical verdicts and optima cold and seeded, matching the
-// tableau oracle — live in test_lp_differential.cpp, and the
+// guarantees — identical verdicts and optima from every starting basis,
+// matching the tableau oracle — live in test_lp_differential.cpp, and the
 // Lawler–Labetoulle crash basis is pinned in test_stoch.cpp; this file pins
 // the local contracts: solve_lp1 and solve_and_round_lp2 are their
 // builders' programs solved from the builders' crash bases, and a small
@@ -49,7 +49,7 @@ TEST(RefactorInterval, RejectsEverythingElse) {
 TEST(CrashStart, Lp1RetracesTheSeededSolve) {
   // solve_lp1's simplex path is build_lp1_program's program solved from its
   // crash basis. The pivot path is deterministic, so the path shows as
-  // solve_lp1 retracing that solve pivot for pivot, with no phase 1.
+  // solve_lp1 retracing that solve pivot for pivot.
   util::Rng rng(7);
   const core::Instance inst = core::make_independent(
       48, 6, core::MachineModel::uniform(0.3, 0.95), rng);
@@ -61,18 +61,15 @@ TEST(CrashStart, Lp1RetracesTheSeededSolve) {
 
   const rounding::Lp1Program prog =
       rounding::build_lp1_program(inst, jobs, 0.5);
-  SimplexOptions sopt;
-  sopt.seed_basis = prog.crash_basis;
-  const Solution seeded = solve_simplex(prog.problem, sopt);
+  const Solution seeded = solve_simplex(prog.problem, prog.crash_basis);
   ASSERT_EQ(seeded.status, Status::Optimal);
-  EXPECT_EQ(lp1.simplex_phase1_iterations, 0);
   EXPECT_EQ(lp1.simplex_iterations, seeded.iterations);
   EXPECT_EQ(lp1.t, seeded.x[static_cast<std::size_t>(prog.t_var)]);
 }
 
 TEST(CrashStart, Lp2RetracesTheSeededSolve) {
   // solve_and_round_lp2 solves build_lp2_program's program from its crash
-  // basis: it retraces that solve pivot for pivot, with no phase 1.
+  // basis: it retraces that solve pivot for pivot.
   util::Rng rng(7);
   const core::Instance inst = core::make_chains(
       12, 2, 5, 4, core::MachineModel::uniform(0.3, 0.9), rng);
@@ -80,11 +77,8 @@ TEST(CrashStart, Lp2RetracesTheSeededSolve) {
   const rounding::Lp2Result lp2 = rounding::solve_and_round_lp2(inst, chains);
 
   const rounding::Lp2Program prog = rounding::build_lp2_program(inst, chains);
-  SimplexOptions sopt;
-  sopt.seed_basis = prog.crash_basis;
-  const Solution seeded = solve_simplex(prog.problem, sopt);
+  const Solution seeded = solve_simplex(prog.problem, prog.crash_basis);
   ASSERT_EQ(seeded.status, Status::Optimal);
-  EXPECT_EQ(lp2.simplex_phase1_iterations, 0);
   EXPECT_EQ(lp2.simplex_iterations, seeded.iterations);
   EXPECT_EQ(lp2.t_fractional, seeded.x[static_cast<std::size_t>(prog.t_var)]);
 }
@@ -92,7 +86,9 @@ TEST(CrashStart, Lp2RetracesTheSeededSolve) {
 TEST(CrashStart, TinyLp1ReachesTheOracleOptimum) {
   // Tiny LP1-shaped program with a hand-checkable optimum: two jobs, two
   // machines, min t with unit covers and load rows — t* = 1 (one job per
-  // machine at x = 1). The engine and the tableau oracle both reach it.
+  // machine at x = 1). The engine, started from the LP1 crash shape (both
+  // jobs on machine 0: t = 2 there, machine 1's slack at 2), and the
+  // tableau oracle both reach it.
   Problem p;
   const int t = p.add_var(1.0);
   const int x00 = p.add_var(0.0);
@@ -120,8 +116,9 @@ TEST(CrashStart, TinyLp1ReachesTheOracleOptimum) {
   l1.terms = {{x10, 1.0}, {x11, 1.0}, {t, -1.0}};
   p.add_row(std::move(l1));
 
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, {x00, x01, t, p.num_vars + 3});
   ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_GT(s.iterations, 1);  // pivots, then the final pricing pass
   EXPECT_NEAR(s.objective, 1.0, 1e-9);
   const Solution ref = oracle::solve_tableau(p);
   ASSERT_EQ(ref.status, Status::Optimal);

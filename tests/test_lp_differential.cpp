@@ -1,10 +1,13 @@
 // Differential oracle for the simplex (labelled `differential` in ctest):
 // property-based random LP generation — LP1/LP2-shaped programs, fully
-// random mixed-relation programs, degenerate and near-singular
-// constructions — solved by libsuu's revised engine, cold and from a seed
-// basis, AND by the dense tableau oracle (tests/lp_tableau_oracle.hpp), with
-// matching verdicts required, zero NumericalFailure results, and every
-// claimed optimum re-checked against the constraints directly. This suite
+// random mixed-relation programs, degenerate, near-singular and
+// cutting-plane constructions — solved by the dense two-phase tableau
+// oracle (tests/lp_tableau_oracle.hpp) AND by libsuu's revised engine,
+// started from the oracle's first feasible (end-of-phase-1) basis and from
+// its optimal basis, with matching verdicts required, zero NumericalFailure
+// results, and every claimed optimum re-checked against the constraints
+// directly. Infeasibility is the oracle's verdict alone: the engine needs a
+// feasible starting basis, so it never meets an infeasible program. This suite
 // is the merge gate for any future solver rewrite: a numerically different
 // core that silently changes a verdict or an optimum fails here before it
 // can corrupt an experiment.
@@ -13,6 +16,7 @@
 // job runs tens of thousands).
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <iterator>
@@ -138,8 +142,9 @@ Problem gen_lp2_shaped(util::Rng& rng) {
 }
 
 // Fully random mixed-relation programs: signs, relations and right-hand
-// sides unconstrained, so infeasible and unbounded verdicts are exercised
-// too — the engines must agree on those as well.
+// sides unconstrained, so the oracle meets infeasible and unbounded programs
+// too (the engine must agree on unboundedness). A third of the rows are
+// equalities, written as a Le/Ge pair.
 Problem gen_random(util::Rng& rng) {
   const int nv = 1 + static_cast<int>(rng.uniform_below(8));
   Problem p;
@@ -155,9 +160,16 @@ Problem gen_random(util::Rng& rng) {
                             4.0 * rng.uniform01() - 2.0);
     }
     const auto pick = rng.uniform_below(3);
-    rr.rel = pick == 0 ? Rel::Le : (pick == 1 ? Rel::Ge : Rel::Eq);
+    rr.rel = pick == 1 ? Rel::Ge : Rel::Le;
     rr.rhs = 6.0 * rng.uniform01() - 3.0;
-    p.add_row(std::move(rr));
+    if (pick == 2) {
+      Row ge = rr;
+      ge.rel = Rel::Ge;
+      p.add_row(std::move(rr));
+      p.add_row(std::move(ge));
+    } else {
+      p.add_row(std::move(rr));
+    }
   }
   return p;
 }
@@ -177,8 +189,9 @@ Problem gen_degenerate(util::Rng& rng) {
     }
   }
   if (!p.rows.empty() && rng.bernoulli(0.5)) {
-    // Redundant equality pair through the first variable.
-    p.add_row(row({{0, 1.0}, {0, -1.0}}, Rel::Eq, 0.0));
+    // Redundant rows 0 <= 0 and 0 >= 0 through the first variable.
+    p.add_row(row({{0, 1.0}, {0, -1.0}}, Rel::Le, 0.0));
+    p.add_row(row({{0, 1.0}, {0, -1.0}}, Rel::Ge, 0.0));
   }
   return p;
 }
@@ -242,28 +255,33 @@ double problem_scale(const Problem& p) {
 TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
   const int total = instance_budget();
   // The tableau oracle is the reference. The revised engine must match it
-  // twice: cold, and seeded with the oracle's optimal basis (a seed that
-  // does not fit — an artificial left basic on a redundant row, or no
-  // basis at all off an Optimal verdict — is dropped and the solve starts
-  // cold). The starting basis changes the pivot path, never the verdict or
-  // the optimum — this is the oracle that enforces it.
-  const char* const cells[] = {"revised-cold", "revised-seeded"};
+  // twice: from the oracle's first feasible basis (so phase-2 pivoting runs
+  // from a non-optimal vertex) and from its optimal basis. A cell runs only
+  // when the oracle has that basis free of artificials: an infeasible
+  // program has neither, an unbounded one no optimal basis. The starting
+  // basis changes the pivot path, never the verdict or the optimum — this
+  // is the oracle that enforces it.
+  const char* const cells[] = {"revised-from-phase1", "revised-from-optimal"};
   int optimal = 0;
   int infeasible = 0;
   int unbounded = 0;
   int failures = 0;
+  int cells_run = 0;
   for (int i = 0; i < total; ++i) {
     util::Rng rng(0x5EED0000ULL + static_cast<std::uint64_t>(i));
     const Generated g = generate(rng, i);
     const std::string ctx =
         std::string("family=") + g.family + " i=" + std::to_string(i);
 
-    const Solution st = oracle::solve_tableau(g.p);
+    const oracle::TableauSolution st = oracle::solve_tableau(g.p);
     const double feas_tol = 1e-6 * problem_scale(g.p);
-    for (std::size_t c = 0; c < std::size(cells); ++c) {
-      SimplexOptions opt;
-      if (c == 1) opt.seed_basis = st.basis;
-      const Solution sr = solve_simplex(g.p, opt);
+    const bool feasible =
+        st.status == Status::Optimal || st.status == Status::Unbounded;
+    for (std::size_t c = 0; feasible && c < std::size(cells); ++c) {
+      const std::vector<int>& start = c == 0 ? st.feasible_basis : st.basis;
+      if (start.empty()) continue;
+      ++cells_run;
+      const Solution sr = solve_simplex(g.p, start);
       const std::string cctx = ctx + " " + cells[c];
       // Every family, the degenerate and near-singular ones included, must
       // finish without a numerical failure: the engine has no fallback.
@@ -299,20 +317,22 @@ TEST(LpDifferential, EnginesAgreeAcrossGeneratedInstances) {
     if (st.status != Status::Optimal) continue;
     EXPECT_LE(max_violation(g.p, st.x), feas_tol) << ctx;
   }
-  // The sweep must genuinely exercise every verdict, or the generator has
+  // The sweep must genuinely exercise every verdict, and nearly every
+  // feasible program must start the engine twice, or the generator has
   // rotted and the oracle is vacuous.
   EXPECT_GT(optimal, total / 4);
   EXPECT_GT(infeasible, 0);
   EXPECT_GT(unbounded, 0);
+  EXPECT_GE(cells_run, 2 * optimal + unbounded - total / 100);
   std::cout << "[differential] " << total << " instances: " << optimal
             << " optimal, " << infeasible << " infeasible, " << unbounded
-            << " unbounded, " << failures << " numerical failures\n";
+            << " unbounded; " << cells_run << " engine solves, " << failures
+            << " numerical failures\n";
 }
 
-TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
-  // A seed basis (SimplexOptions::seed_basis, what the LP1 crash basis
-  // uses) must not change any optimum, and an optimal seed must skip
-  // phase 1.
+TEST(LpDifferential, OptimalBasisResolvesMatch) {
+  // The engine's own optimal basis, handed back as a starting basis (what a
+  // caller re-solving a program does), must reproduce the optimum.
   const int total = std::max(20, instance_budget() / 10);
   for (int i = 0; i < total; ++i) {
     util::Rng rng(0xCAFE0000ULL + static_cast<std::uint64_t>(i));
@@ -320,19 +340,100 @@ TEST(LpDifferential, SeededRevisedResolvesMatchCold) {
     const std::string ctx =
         std::string("family=") + g.family + " i=" + std::to_string(i);
 
-    const Solution cold = solve_simplex(g.p);
-    ASSERT_EQ(cold.status, Status::Optimal) << ctx;
+    const oracle::TableauSolution ref = oracle::solve_tableau(g.p);
+    ASSERT_EQ(ref.status, Status::Optimal) << ctx;
+    ASSERT_FALSE(ref.feasible_basis.empty()) << ctx;
+    const Solution first = solve_simplex(g.p, ref.feasible_basis);
+    ASSERT_EQ(first.status, Status::Optimal) << ctx;
 
-    SimplexOptions opt;
-    opt.seed_basis = cold.basis;
-    const Solution hot = solve_simplex(g.p, opt);
-    ASSERT_EQ(hot.status, Status::Optimal) << ctx;
-    EXPECT_NEAR(hot.objective, cold.objective,
-                1e-9 * (1.0 + std::fabs(cold.objective)))
+    const Solution again = solve_simplex(g.p, first.basis);
+    ASSERT_EQ(again.status, Status::Optimal) << ctx;
+    EXPECT_NEAR(again.objective, first.objective,
+                1e-9 * (1.0 + std::fabs(first.objective)))
         << ctx;
-    EXPECT_EQ(hot.phase1_iterations, 0)
-        << ctx << " (accepted seed must skip phase 1)";
   }
+}
+
+// Degenerate cutting-plane masters (the Kelley master of LP1): maximize z
+// subject to z - c_k·w <= 0 for k cuts (rhs 0, so every cut passes through
+// the origin) and sum(w) <= 1, with far more rows than columns. Each cut's
+// c_k is the machine-load vector of a random assignment of `jobs` jobs to
+// `machines` machines. All rows are Le with rhs >= 0, so both engines start
+// from the slack basis at the origin, the most degenerate vertex there is.
+Problem gen_cutting_plane(util::Rng& rng, int cuts, int machines, int jobs) {
+  std::vector<double> ell(static_cast<std::size_t>(jobs) *
+                          static_cast<std::size_t>(machines));
+  for (double& e : ell) e = 0.05 + rng.uniform01();
+  Problem p;
+  const int z = p.add_var(-1.0);
+  for (int i = 0; i < machines; ++i) p.add_var(0.0);
+  for (int k = 0; k < cuts; ++k) {
+    std::vector<double> c(static_cast<std::size_t>(machines), 0.0);
+    for (int j = 0; j < jobs; ++j) {
+      const int i = static_cast<int>(
+          rng.uniform_below(static_cast<std::uint64_t>(machines)));
+      c[static_cast<std::size_t>(i)] +=
+          ell[static_cast<std::size_t>(j) * static_cast<std::size_t>(machines) +
+              static_cast<std::size_t>(i)];
+    }
+    Row cut;
+    cut.rel = Rel::Le;
+    cut.terms.emplace_back(z, 1.0);
+    for (int i = 0; i < machines; ++i) {
+      if (c[static_cast<std::size_t>(i)] != 0.0) {
+        cut.terms.emplace_back(1 + i, -c[static_cast<std::size_t>(i)]);
+      }
+    }
+    p.add_row(std::move(cut));
+  }
+  Row simplex;
+  simplex.rel = Rel::Le;
+  simplex.rhs = 1.0;
+  for (int i = 0; i < machines; ++i) simplex.terms.emplace_back(1 + i, 1.0);
+  p.add_row(std::move(simplex));
+  return p;
+}
+
+TEST(LpDifferential, DegenerateCuttingPlaneMasters) {
+  // Objective agreement and no NumericalFailure. The revised/oracle pivot
+  // ratio is printed, not gated: the revised engine is known to take more
+  // pivots than the oracle on these masters.
+  std::int64_t revised_pivots = 0;
+  std::int64_t oracle_pivots = 0;
+  for (const int cuts : {50, 100, 150, 200}) {
+    for (const std::uint64_t seed : {1ULL, 2ULL}) {
+      util::Rng rng(0xC0770000ULL + seed * 1000 +
+                    static_cast<std::uint64_t>(cuts));
+      const Problem p = gen_cutting_plane(rng, cuts, 32, 64);
+      const std::string ctx =
+          "cuts=" + std::to_string(cuts) + " seed=" + std::to_string(seed);
+      std::vector<int> slacks;
+      for (int r = 0; r < static_cast<int>(p.rows.size()); ++r) {
+        slacks.push_back(p.num_vars + r);
+      }
+      const oracle::TableauSolution ref = oracle::solve_tableau(p);
+      ASSERT_EQ(ref.status, Status::Optimal) << ctx;
+      EXPECT_EQ(ref.phase1_iterations, 0) << ctx;
+      const Solution sr = solve_simplex(p, slacks);
+      ASSERT_NE(sr.status, Status::NumericalFailure) << ctx;
+      ASSERT_EQ(sr.status, Status::Optimal) << ctx;
+      EXPECT_NEAR(sr.objective, ref.objective,
+                  1e-9 * (1.0 + std::fabs(ref.objective)))
+          << ctx;
+      EXPECT_LE(max_violation(p, sr.x), 1e-6) << ctx;
+      std::cout << "[cutting-plane] " << ctx << ": revised " << sr.iterations
+                << " pivots, oracle " << ref.iterations << " ("
+                << static_cast<double>(sr.iterations) /
+                       std::max(1, ref.iterations)
+                << "x)\n";
+      revised_pivots += sr.iterations;
+      oracle_pivots += ref.iterations;
+    }
+  }
+  std::cout << "[cutting-plane] total revised/oracle pivot ratio "
+            << static_cast<double>(revised_pivots) /
+                   static_cast<double>(std::max<std::int64_t>(1, oracle_pivots))
+            << "\n";
 }
 
 // Note on SUU_LP_REFACTOR_INTERVAL coverage: the env override is read once

@@ -12,6 +12,7 @@
 #include "lp_tableau_oracle.hpp"
 #include "rounding/lp1.hpp"
 #include "rounding/lp2.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace suu::lp {
@@ -25,6 +26,19 @@ Row row(std::vector<std::pair<int, double>> terms, Rel rel, double rhs) {
   return r;
 }
 
+// Row r's slack or surplus column in the standard form.
+int slack(const Problem& p, int r) { return p.num_vars + r; }
+
+// Every row's own slack: a feasible starting basis whenever every row is
+// a Le row with rhs >= 0 (the origin).
+std::vector<int> slack_basis(const Problem& p) {
+  std::vector<int> b;
+  for (int r = 0; r < static_cast<int>(p.rows.size()); ++r) {
+    b.push_back(slack(p, r));
+  }
+  return b;
+}
+
 TEST(Simplex, TextbookMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  => opt 36 at (2, 6).
   Problem p;
@@ -33,53 +47,45 @@ TEST(Simplex, TextbookMaximization) {
   p.add_row(row({{x, 1}}, Rel::Le, 4));
   p.add_row(row({{y, 2}}, Rel::Le, 12));
   p.add_row(row({{x, 3}, {y, 2}}, Rel::Le, 18));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, slack_basis(p));
   ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_GT(s.iterations, 1);  // pivots, then the final pricing pass
   EXPECT_NEAR(s.objective, -36.0, 1e-8);
   EXPECT_NEAR(s.x[x], 2.0, 1e-8);
   EXPECT_NEAR(s.x[y], 6.0, 1e-8);
 }
 
-TEST(Simplex, GeConstraintsNeedPhase1) {
-  // min x + y s.t. x + y >= 2, x >= 0.5  => opt 2.
+TEST(Simplex, GeConstraintsFromAFeasibleBasis) {
+  // min x + 2y s.t. x + y >= 2, x >= 0.5  => opt 2 at (2, 0). Start at
+  // x = 0.5, y = 1.5 (both rows tight), objective 3.5.
   Problem p;
   const int x = p.add_var(1.0);
-  const int y = p.add_var(1.0);
+  const int y = p.add_var(2.0);
   p.add_row(row({{x, 1}, {y, 1}}, Rel::Ge, 2));
   p.add_row(row({{x, 1}}, Rel::Ge, 0.5));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, {x, y});
   ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_GT(s.iterations, 1);
   EXPECT_NEAR(s.objective, 2.0, 1e-8);
-  EXPECT_GE(s.x[x], 0.5 - 1e-9);
+  EXPECT_NEAR(s.x[x], 2.0, 1e-8);
+  EXPECT_NEAR(s.x[y], 0.0, 1e-8);
 }
 
-TEST(Simplex, EqualityRows) {
-  // min 2x + 3y s.t. x + y = 4, x - y = 0 => x = y = 2, obj 10.
+TEST(Simplex, EqualityAsLeGePair) {
+  // min 2x + 3y s.t. x + y = 4, x - y = 0 (each a Le/Ge pair) => x = y = 2,
+  // obj 10. Basis: x and y on the Ge rows, the Le rows' slacks at 0.
   Problem p;
   const int x = p.add_var(2.0);
   const int y = p.add_var(3.0);
-  p.add_row(row({{x, 1}, {y, 1}}, Rel::Eq, 4));
-  p.add_row(row({{x, 1}, {y, -1}}, Rel::Eq, 0));
-  const Solution s = solve_simplex(p);
+  p.add_row(row({{x, 1}, {y, 1}}, Rel::Le, 4));
+  p.add_row(row({{x, 1}, {y, 1}}, Rel::Ge, 4));
+  p.add_row(row({{x, 1}, {y, -1}}, Rel::Le, 0));
+  p.add_row(row({{x, 1}, {y, -1}}, Rel::Ge, 0));
+  const Solution s = solve_simplex(p, {x, y, slack(p, 0), slack(p, 2)});
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_NEAR(s.x[x], 2.0, 1e-8);
   EXPECT_NEAR(s.x[y], 2.0, 1e-8);
   EXPECT_NEAR(s.objective, 10.0, 1e-8);
-}
-
-TEST(Simplex, InfeasibleDetected) {
-  Problem p;
-  const int x = p.add_var(1.0);
-  p.add_row(row({{x, 1}}, Rel::Le, 1));
-  p.add_row(row({{x, 1}}, Rel::Ge, 2));
-  EXPECT_EQ(solve_simplex(p).status, Status::Infeasible);
-}
-
-TEST(Simplex, InfeasibleByNonnegativity) {
-  Problem p;
-  const int x = p.add_var(0.0);
-  p.add_row(row({{x, 1}}, Rel::Le, -3));  // x <= -3 impossible for x >= 0
-  EXPECT_EQ(solve_simplex(p).status, Status::Infeasible);
 }
 
 TEST(Simplex, UnboundedDetected) {
@@ -87,15 +93,16 @@ TEST(Simplex, UnboundedDetected) {
   const int x = p.add_var(-1.0);  // maximize x
   const int y = p.add_var(0.0);
   p.add_row(row({{x, 1}, {y, -1}}, Rel::Le, 1));  // x <= 1 + y, y free to grow
-  EXPECT_EQ(solve_simplex(p).status, Status::Unbounded);
+  EXPECT_EQ(solve_simplex(p, slack_basis(p)).status, Status::Unbounded);
 }
 
 TEST(Simplex, NegativeRhsNormalization) {
-  // min x s.t. -x <= -2  (i.e. x >= 2).
+  // min x s.t. -x <= -2  (i.e. x >= 2): the row is flipped to a Ge row, and
+  // x = 2 is its basic solution.
   Problem p;
   const int x = p.add_var(1.0);
   p.add_row(row({{x, -1}}, Rel::Le, -2));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, {x});
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_NEAR(s.x[x], 2.0, 1e-8);
 }
@@ -109,7 +116,7 @@ TEST(Simplex, DegenerateProblemTerminates) {
   p.add_row(row({{x, 2}, {y, 2}}, Rel::Le, 2));
   p.add_row(row({{x, 1}}, Rel::Le, 1));
   p.add_row(row({{y, 1}}, Rel::Le, 1));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, slack_basis(p));
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_NEAR(s.objective, -1.0, 1e-8);
 }
@@ -127,7 +134,7 @@ TEST(Simplex, BealeCycleTerminates) {
   p.add_row(row({{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}}, Rel::Le, 0));
   p.add_row(row({{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}}, Rel::Le, 0));
   p.add_row(row({{x3, 1}}, Rel::Le, 1));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, slack_basis(p));
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_NEAR(s.objective, -0.05, 1e-8);
   EXPECT_NEAR(s.x[x1], 0.04, 1e-8);
@@ -143,35 +150,31 @@ TEST(Simplex, TinyPivotsRejected) {
   Problem p;
   const int x = p.add_var(-1.0);  // maximize x
   p.add_row(row({{x, 1e-13}}, Rel::Le, 1));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, slack_basis(p));
   EXPECT_EQ(s.status, Status::Unbounded);
 }
 
-TEST(Simplex, RedundantEqualityRows) {
+TEST(Simplex, RedundantRowPairs) {
+  // x + y = 2 twice over (the second scaled by 2), each as a Le/Ge pair:
+  // every basis at the optimum is degenerate.
   Problem p;
   const int x = p.add_var(1.0);
   const int y = p.add_var(1.0);
-  p.add_row(row({{x, 1}, {y, 1}}, Rel::Eq, 2));
-  p.add_row(row({{x, 2}, {y, 2}}, Rel::Eq, 4));  // same plane
-  const Solution s = solve_simplex(p);
+  p.add_row(row({{x, 1}, {y, 1}}, Rel::Le, 2));
+  p.add_row(row({{x, 1}, {y, 1}}, Rel::Ge, 2));
+  p.add_row(row({{x, 2}, {y, 2}}, Rel::Le, 4));
+  p.add_row(row({{x, 2}, {y, 2}}, Rel::Ge, 4));
+  const Solution s =
+      solve_simplex(p, {x, slack(p, 0), slack(p, 2), slack(p, 3)});
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_NEAR(s.objective, 2.0, 1e-8);
 }
 
 TEST(Simplex, ZeroVariableProblem) {
   Problem p;
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, {});
   EXPECT_EQ(s.status, Status::Optimal);
   EXPECT_EQ(s.objective, 0.0);
-}
-
-TEST(Simplex, ZeroVariableInfeasible) {
-  Problem p;
-  Row r;
-  r.rel = Rel::Ge;
-  r.rhs = 1.0;
-  p.rows.push_back(r);  // 0 >= 1
-  EXPECT_EQ(solve_simplex(p).status, Status::Infeasible);
 }
 
 TEST(Simplex, DuplicateTermsAreSummed) {
@@ -179,9 +182,54 @@ TEST(Simplex, DuplicateTermsAreSummed) {
   Problem p;
   const int x = p.add_var(-1.0);
   p.add_row(row({{x, 1}, {x, 1}}, Rel::Le, 4));
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, slack_basis(p));
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_NEAR(s.x[x], 2.0, 1e-8);
+}
+
+// ---- Infeasibility: the engine starts from a feasible basis and never
+// proves a program infeasible; the tableau oracle's phase 1 does.
+
+TEST(TableauOracle, InfeasibleDetected) {
+  Problem p;
+  const int x = p.add_var(1.0);
+  p.add_row(row({{x, 1}}, Rel::Le, 1));
+  p.add_row(row({{x, 1}}, Rel::Ge, 2));
+  const oracle::TableauSolution s = oracle::solve_tableau(p);
+  EXPECT_EQ(s.status, Status::Infeasible);
+  EXPECT_TRUE(s.feasible_basis.empty());
+}
+
+TEST(TableauOracle, InfeasibleByNonnegativity) {
+  Problem p;
+  const int x = p.add_var(0.0);
+  p.add_row(row({{x, 1}}, Rel::Le, -3));  // x <= -3 impossible for x >= 0
+  EXPECT_EQ(oracle::solve_tableau(p).status, Status::Infeasible);
+}
+
+TEST(TableauOracle, ZeroVariableInfeasible) {
+  Problem p;
+  Row r;
+  r.rel = Rel::Ge;
+  r.rhs = 1.0;
+  p.rows.push_back(r);  // 0 >= 1
+  EXPECT_EQ(oracle::solve_tableau(p).status, Status::Infeasible);
+}
+
+TEST(TableauOracle, FirstFeasibleBasisStartsTheEngine) {
+  // Phase 1 runs (two Ge rows), and its end basis is a valid start.
+  Problem p;
+  const int x = p.add_var(1.0);
+  const int y = p.add_var(2.0);
+  p.add_row(row({{x, 1}, {y, 1}}, Rel::Ge, 2));
+  p.add_row(row({{x, 1}}, Rel::Ge, 0.5));
+  const oracle::TableauSolution ref = oracle::solve_tableau(p);
+  ASSERT_EQ(ref.status, Status::Optimal);
+  EXPECT_GT(ref.phase1_iterations, 0);
+  ASSERT_EQ(ref.feasible_basis.size(), p.rows.size());
+  const Solution s = solve_simplex(p, ref.feasible_basis);
+  ASSERT_EQ(s.status, Status::Optimal);
+  EXPECT_NEAR(s.objective, ref.objective, 1e-9);
 }
 
 // ---- Golden objectives: recorded from the dense-tableau solver that is
@@ -200,7 +248,6 @@ TEST(SimplexGolden, Lp1InstanceObjective) {
       rounding::solve_lp1(inst, jobs, 0.5, opt);
   EXPECT_NEAR(frac.t, 3.186421848442467, 1e-9);
   EXPECT_GT(frac.simplex_iterations, 0);
-  EXPECT_EQ(frac.simplex_phase1_iterations, 0) << "crash basis not installed";
 }
 
 TEST(SimplexGolden, Lp2InstanceObjective) {
@@ -210,13 +257,13 @@ TEST(SimplexGolden, Lp2InstanceObjective) {
   const rounding::Lp2Result res =
       rounding::solve_and_round_lp2(inst, inst.dag().chains());
   EXPECT_NEAR(res.t_fractional, 5.296096594137738, 1e-9);
-  EXPECT_GT(res.simplex_iterations, res.simplex_phase1_iterations);
+  EXPECT_GT(res.simplex_iterations, 1);
 }
 
 // (The Beale golden lives above: Simplex.BealeCycleTerminates pins the
 // optimum -0.05 at x = (1/25, 0, 1, 0).)
 
-// ---- A small LP whose rhs can be perturbed (seed-basis tests).
+// ---- A small LP whose rhs can be perturbed (starting-basis tests).
 
 Problem perturbable_lp(double rhs1) {
   // min x + 2y s.t. x + y >= rhs1, x + 3y >= 4, x + 4y <= 12.
@@ -229,38 +276,28 @@ Problem perturbable_lp(double rhs1) {
   return p;
 }
 
-TEST(Simplex, GeAndEqRowsNeedPhase1) {
-  Problem p;
-  const int x = p.add_var(1.0);
-  const int y = p.add_var(1.0);
-  p.add_row(row({{x, 1}, {y, 1}}, Rel::Ge, 2));
-  p.add_row(row({{x, 1}, {y, -1}}, Rel::Eq, 1));
-  const Solution s = solve_simplex(p);
-  ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_GT(s.phase1_iterations, 0);
-  EXPECT_NEAR(s.objective, 2.0, 1e-8);
-  EXPECT_NEAR(s.x[x], 1.5, 1e-8);
-  EXPECT_NEAR(s.x[y], 0.5, 1e-8);
+// A feasible, non-optimal basis of perturbable_lp(rhs1) for rhs1 in
+// [3, 12]: x and y with the first and third rows tight (y = (12 - rhs1)/3,
+// x = rhs1 - y) and the second row's surplus (rhs1 + 12)/3.
+std::vector<int> perturbable_basis(const Problem& p) {
+  return {0, 1, slack(p, 1)};
 }
 
 // ---- The tableau oracle (tests/lp_tableau_oracle.hpp) on the small cases:
 // the differential suite sweeps this at scale; these pin the basics.
 
 TEST(SimplexVsOracle, VerdictsAndObjectivesMatch) {
-  std::vector<Problem> cases;
-  {
-    Problem p;  // infeasible
-    const int x = p.add_var(1.0);
-    p.add_row(row({{x, 1}}, Rel::Le, 1));
-    p.add_row(row({{x, 1}}, Rel::Ge, 2));
-    cases.push_back(std::move(p));
-  }
+  struct Case {
+    Problem p;
+    std::vector<int> basis;
+  };
+  std::vector<Case> cases;
   {
     Problem p;  // unbounded
     const int x = p.add_var(-1.0);
     const int y = p.add_var(0.0);
     p.add_row(row({{x, 1}, {y, -1}}, Rel::Le, 1));
-    cases.push_back(std::move(p));
+    cases.push_back({std::move(p), {2}});
   }
   {
     Problem p;  // textbook maximization
@@ -269,13 +306,16 @@ TEST(SimplexVsOracle, VerdictsAndObjectivesMatch) {
     p.add_row(row({{x, 1}}, Rel::Le, 4));
     p.add_row(row({{y, 2}}, Rel::Le, 12));
     p.add_row(row({{x, 3}, {y, 2}}, Rel::Le, 18));
-    cases.push_back(std::move(p));
+    cases.push_back({std::move(p), {2, 3, 4}});
   }
-  cases.push_back(perturbable_lp(3.0));
-  cases.push_back(perturbable_lp(11.0));
+  for (const double rhs1 : {3.0, 11.0}) {
+    Problem p = perturbable_lp(rhs1);
+    std::vector<int> b = perturbable_basis(p);
+    cases.push_back({std::move(p), std::move(b)});
+  }
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    const Solution ref = oracle::solve_tableau(cases[c]);
-    const Solution s = solve_simplex(cases[c]);
+    const Solution ref = oracle::solve_tableau(cases[c].p);
+    const Solution s = solve_simplex(cases[c].p, cases[c].basis);
     ASSERT_EQ(s.status, ref.status) << "case " << c;
     if (ref.status == Status::Optimal) {
       EXPECT_NEAR(s.objective, ref.objective, 1e-9) << "case " << c;
@@ -292,91 +332,97 @@ TEST(SimplexVsOracle, NumericalFailureHasItsOwnSpelling) {
   }
 }
 
-// ---- Seed basis (SimplexOptions::seed_basis; the LP1 crash basis is its
-// one production caller).
+// ---- The starting basis (the LP1, LP2 and Lawler–Labetoulle crash bases
+// are its production callers).
 
-TEST(SimplexSeed, RepeatSolveSkipsPhase1) {
-  const Problem p = perturbable_lp(3.0);
-  const Solution cold = solve_simplex(p);
-  ASSERT_EQ(cold.status, Status::Optimal);
-  ASSERT_FALSE(cold.basis.empty());
-  EXPECT_GT(cold.phase1_iterations, 0);
-  SimplexOptions opt;
-  opt.seed_basis = cold.basis;
-  const Solution hot = solve_simplex(p, opt);
-  ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_EQ(hot.phase1_iterations, 0);
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
-  for (std::size_t i = 0; i < cold.x.size(); ++i) {
-    EXPECT_NEAR(hot.x[i], cold.x[i], 1e-9);
+TEST(SimplexSeed, OptimalBasisResolvesWithoutPivots) {
+  const Problem p = perturbable_lp(11.0);
+  const Solution first = solve_simplex(p, perturbable_basis(p));
+  ASSERT_EQ(first.status, Status::Optimal);
+  EXPECT_GT(first.iterations, 1);
+  EXPECT_NEAR(first.objective, 11.0, 1e-9);
+  ASSERT_EQ(first.basis.size(), p.rows.size());
+  const Solution again = solve_simplex(p, first.basis);
+  ASSERT_EQ(again.status, Status::Optimal);
+  // One pricing pass, which finds no entering column.
+  EXPECT_EQ(again.iterations, 1);
+  EXPECT_NEAR(again.objective, first.objective, 1e-9);
+  for (std::size_t i = 0; i < first.x.size(); ++i) {
+    EXPECT_NEAR(again.x[i], first.x[i], 1e-9);
   }
 }
 
 TEST(SimplexSeed, OracleBasisIsAValidSeed) {
   // The oracle numbers columns through the same standard form, so a
-  // tableau-recorded basis is a valid seed.
+  // tableau-recorded basis is a valid starting basis.
   const Problem p = perturbable_lp(3.0);
-  const Solution cold = oracle::solve_tableau(p);
-  ASSERT_EQ(cold.status, Status::Optimal);
-  SimplexOptions opt;
-  opt.seed_basis = cold.basis;
-  const Solution hot = solve_simplex(p, opt);
+  const Solution ref = oracle::solve_tableau(p);
+  ASSERT_EQ(ref.status, Status::Optimal);
+  ASSERT_EQ(ref.basis.size(), p.rows.size());
+  const Solution hot = solve_simplex(p, ref.basis);
   ASSERT_EQ(hot.status, Status::Optimal);
-  EXPECT_EQ(hot.phase1_iterations, 0);
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
+  EXPECT_EQ(hot.iterations, 1);
+  EXPECT_NEAR(hot.objective, ref.objective, 1e-9);
 }
 
-TEST(SimplexSeed, MismatchedSeedFallsBackCold) {
-  const Problem p = perturbable_lp(3.0);
-  SimplexOptions opt;
-  opt.seed_basis = {0, 1, 2, 3, 4, 5, 6};  // wrong dimensions for this program
-  const Solution s = solve_simplex(p, opt);
-  ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_GT(s.phase1_iterations, 0) << "a rejected seed must run phase 1";
-  EXPECT_NEAR(s.objective, solve_simplex(p).objective, 1e-9);
-  // An artificial column is never an acceptable seed column either.
-  const StandardForm sf = build_standard_form(p);
-  ASSERT_LT(sf.art_begin, sf.n_total);
-  opt.seed_basis = sf.init_basis;
-  const Solution art = solve_simplex(p, opt);
-  ASSERT_EQ(art.status, Status::Optimal);
-  EXPECT_GT(art.phase1_iterations, 0);
-  EXPECT_NEAR(art.objective, s.objective, 1e-9);
+TEST(SimplexSeed, MalformedBasisIsACallerBug) {
+  // Wrong size, a column outside [0, num_vars + rows), a repeated column:
+  // SUU_CHECK, never a quiet restart from another basis.
+  const Problem p = perturbable_lp(11.0);
+  EXPECT_THROW(solve_simplex(p, {0, 1, 2, 3, 4, 5, 6}), util::CheckError);
+  EXPECT_THROW(solve_simplex(p, {0, 3}), util::CheckError);
+  EXPECT_THROW(solve_simplex(p, {0, 3, 5}), util::CheckError);
+  EXPECT_THROW(solve_simplex(p, {0, 3, -1}), util::CheckError);
+  EXPECT_THROW(solve_simplex(p, {0, 3, 3}), util::CheckError);
+  EXPECT_EQ(solve_simplex(p, {0, 3, 4}).status, Status::Optimal);
 }
 
-TEST(SimplexSeed, InfeasibleSeedVertexRejected) {
-  // The optimal basis at rhs1 = 3 is primal infeasible once rhs1 jumps to
-  // 11, so the seed must be rejected, phase 1 must run, and the optimum
-  // must still match a cold solve.
-  const Solution seed = solve_simplex(perturbable_lp(3.0));
+TEST(SimplexSeed, SingularBasisIsANumericalFailure) {
+  // x and y have parallel columns (1, 2) over both rows.
+  Problem p;
+  const int x = p.add_var(-1.0);
+  const int y = p.add_var(-1.0);
+  p.add_row(row({{x, 1}, {y, 1}}, Rel::Le, 1));
+  p.add_row(row({{x, 2}, {y, 2}}, Rel::Le, 2));
+  const Solution s = solve_simplex(p, {x, y});
+  EXPECT_EQ(s.status, Status::NumericalFailure);
+  EXPECT_EQ(s.iterations, 0);
+  EXPECT_TRUE(s.x.empty());
+  EXPECT_TRUE(s.basis.empty());
+  EXPECT_EQ(solve_simplex(p, slack_basis(p)).status, Status::Optimal);
+}
+
+TEST(SimplexSeed, InfeasibleVertexIsANumericalFailure) {
+  // The optimal basis at rhs1 = 11 is primal infeasible at rhs1 = 3 (x sits
+  // on the first row, so the second row's surplus would be 3 - 4 < 0). The
+  // solve must report it, not pivot from it or restart elsewhere.
+  const Problem at11 = perturbable_lp(11.0);
+  const Solution seed = solve_simplex(at11, perturbable_basis(at11));
   ASSERT_EQ(seed.status, Status::Optimal);
-  const Problem jumped = perturbable_lp(11.0);
-  SimplexOptions opt;
-  opt.seed_basis = seed.basis;
-  const Solution hot = solve_simplex(jumped, opt);
-  const Solution cold = solve_simplex(jumped);
-  ASSERT_EQ(hot.status, Status::Optimal);
-  ASSERT_EQ(cold.status, Status::Optimal);
-  // Accepting the seed would start phase 2 from an infeasible vertex, which
-  // fails verification and surfaces as NumericalFailure.
-  EXPECT_GT(hot.phase1_iterations, 0) << "infeasible seed was accepted";
-  EXPECT_NEAR(hot.objective, cold.objective, 1e-9);
+  const Problem at3 = perturbable_lp(3.0);
+  const Solution s = solve_simplex(at3, seed.basis);
+  EXPECT_EQ(s.status, Status::NumericalFailure);
+  EXPECT_EQ(s.iterations, 0);
+  EXPECT_TRUE(s.x.empty());
+  // The same shape of start from the slack basis of a Ge row: surplus = -rhs.
+  EXPECT_EQ(solve_simplex(at3, slack_basis(at3)).status,
+            Status::NumericalFailure);
 }
 
 TEST(StandardFormBuild, MatchesTableauNormalization) {
-  // min x s.t. -x <= -2 normalizes to x >= 2 with a surplus + artificial.
+  // min x s.t. -x <= -2 normalizes to x >= 2: x, then the row's surplus.
   Problem p;
   const int x = p.add_var(1.0);
   p.add_row(row({{x, -1}}, Rel::Le, -2));
   const StandardForm sf = build_standard_form(p);
   EXPECT_EQ(sf.m, 1);
   EXPECT_EQ(sf.n_orig, 1);
-  EXPECT_EQ(sf.n_total, 3);  // x, surplus, artificial
-  EXPECT_EQ(sf.art_begin, 2);
+  EXPECT_EQ(sf.n_total, 2);  // x, surplus
   EXPECT_EQ(sf.rhs[0], 2.0);
-  EXPECT_EQ(sf.init_basis[0], 2);
   ASSERT_EQ(sf.col_nnz(0), 1);
   EXPECT_EQ(sf.col_val[static_cast<std::size_t>(sf.col_ptr[0])], 1.0);
+  ASSERT_EQ(sf.col_nnz(1), 1);
+  EXPECT_EQ(sf.col_val[static_cast<std::size_t>(sf.col_ptr[1])], -1.0);
 }
 
 TEST(BasisFactorizationTest, FtranBtranRoundTrip) {
@@ -388,7 +434,7 @@ TEST(BasisFactorizationTest, FtranBtranRoundTrip) {
   p.add_row(row({{x, 2}, {y, 1}}, Rel::Le, 4));
   p.add_row(row({{x, 1}, {y, 3}}, Rel::Le, 6));
   const StandardForm sf = build_standard_form(p);
-  BasisFactorization fact(sf, kPivotTol);
+  BasisFactorization fact(sf);
   ASSERT_TRUE(fact.refactorize({x, y}));
   // b = (4, 6): solving 2x + y = 4, x + 3y = 6 gives x = 6/5, y = 8/5.
   std::vector<double> v = sf.rhs;
@@ -412,7 +458,7 @@ TEST(BasisFactorizationTest, SingularBasisRejected) {
   p.add_row(row({{x, 1}}, Rel::Le, 1));
   p.add_row(row({{x, 2}}, Rel::Le, 2));
   const StandardForm sf = build_standard_form(p);
-  BasisFactorization fact(sf, kPivotTol);
+  BasisFactorization fact(sf);
   // Columns {x, x-duplicate-direction}: rows are multiples -> singular once
   // x claims a row and the second column has no independent pivot. Use the
   // slack of row 0 twice via {x, x}? Not allowed; instead {x, slack0} is
@@ -426,10 +472,10 @@ TEST(MaxViolation, DetectsEachRelation) {
   const int x = p.add_var(0.0);
   p.add_row(row({{x, 1}}, Rel::Le, 1));
   p.add_row(row({{x, 1}}, Rel::Ge, 0.5));
-  p.add_row(row({{x, 1}}, Rel::Eq, 0.75));
   EXPECT_NEAR(max_violation(p, {0.75}), 0.0, 1e-12);
-  EXPECT_NEAR(max_violation(p, {2.0}), 1.25, 1e-12);
-  EXPECT_NEAR(max_violation(p, {0.0}), 0.75, 1e-12);
+  EXPECT_NEAR(max_violation(p, {2.0}), 1.0, 1e-12);
+  EXPECT_NEAR(max_violation(p, {0.0}), 0.5, 1e-12);
+  EXPECT_NEAR(max_violation(p, {-1.0}), 1.5, 1e-12);
 }
 
 // ---- Property sweep: random feasible-by-construction covering LPs, checked
@@ -443,8 +489,12 @@ TEST_P(SimplexRandomLp1, OptimalIsFeasibleAndNoGridPointBeatsIt) {
   const int n_machines = 1 + static_cast<int>(rng.uniform_below(3));
 
   // LP1-shaped: min t, sum_i a_ij x_ij >= 1 per job, sum_j x_ij <= t.
+  // The starting basis puts every job on machine 0: x_j0 = 1 / a_j0 on its
+  // cover row, t = their sum on machine 0's load row and the other load
+  // rows' slacks at t.
   Problem p;
   const int t = p.add_var(1.0);
+  std::vector<int> start;
   std::vector<std::vector<int>> var(n_jobs);
   std::vector<std::vector<double>> a(n_jobs);
   std::vector<Row> loads(n_machines);
@@ -460,8 +510,11 @@ TEST_P(SimplexRandomLp1, OptimalIsFeasibleAndNoGridPointBeatsIt) {
       cover.terms.emplace_back(v, aij);
       loads[i].terms.emplace_back(v, 1.0);
     }
+    start.push_back(var[j][0]);
     p.add_row(std::move(cover));
   }
+  start.push_back(t);
+  for (int i = 1; i < n_machines; ++i) start.push_back(slack(p, n_jobs + i));
   for (int i = 0; i < n_machines; ++i) {
     loads[i].terms.emplace_back(t, -1.0);
     loads[i].rel = Rel::Le;
@@ -469,7 +522,7 @@ TEST_P(SimplexRandomLp1, OptimalIsFeasibleAndNoGridPointBeatsIt) {
     p.add_row(std::move(loads[i]));
   }
 
-  const Solution s = solve_simplex(p);
+  const Solution s = solve_simplex(p, start);
   ASSERT_EQ(s.status, Status::Optimal);
   EXPECT_LE(max_violation(p, s.x), 1e-6);
 
