@@ -6,8 +6,9 @@
 // BENCH_perf_micro.json (google-benchmark's JSON schema) in the working
 // directory, so every run leaves a machine-readable record of the perf
 // trajectory. Simplex benchmarks export a "pivots" counter (simplex
-// iterations per solve) alongside wall time: a pricing regression shows up
-// in pivots even when cache effects mask it in time.
+// pivots per solve; the final pricing pass that finds no entering column
+// is not one) alongside wall time: a pricing regression shows up in pivots
+// even when cache effects mask it in time.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -51,8 +52,8 @@ std::vector<int> all_jobs(int n) {
   return v;
 }
 
-// LP1(J, 1/2) simplex telemetry per solve. "pivots" counts priced
-// iterations from the crash basis; "ftran_fill" reports the average fraction of the rows an
+// LP1(J, 1/2) simplex telemetry per solve. "pivots" counts pivots from
+// the crash basis; "ftran_fill" reports the average fraction of the rows an
 // FTRAN result actually occupied — the sparse eta storage only pays off
 // while this stays well below 1, so a storage regression is visible here
 // even when pivot counts hold steady.
@@ -133,8 +134,8 @@ void report_pivots(benchmark::State& state, std::int64_t pivots) {
 // plus the BvN slices): the offline program of F-STOCH's 128-job,
 // 16-machine cluster instance (bench_fig_stoch's generator and seed 9),
 // with p_j ~ Exp(lambda_j) drawn as run_stc_i draws its first
-// replication's lengths. "pivots" counts priced iterations per solve from
-// the crash basis.
+// replication's lengths. "pivots" counts pivots per solve from the crash
+// basis.
 void BM_Rpmtn(benchmark::State& state) {
   constexpr int kN = 128;
   constexpr std::uint64_t kSeed = 9;
@@ -231,8 +232,8 @@ void BM_ReadInstance(benchmark::State& state) {
 BENCHMARK(BM_ReadInstance)->Name("BM_ReadInstance/4096x32");
 
 // The default LP2 path (revised engine from the crash basis, Dantzig
-// pricing) plus the Lemma 6 rounding, on `chains`. "pivots" counts priced
-// iterations per solve. A numerical failure makes solve_and_round_lp2
+// pricing) plus the Lemma 6 rounding, on `chains`. "pivots" counts pivots
+// per solve. A numerical failure makes solve_and_round_lp2
 // throw, which aborts the whole bench run.
 void run_lp2(benchmark::State& state, const core::Instance& inst,
              const std::vector<std::vector<int>>& chains) {

@@ -124,21 +124,17 @@ StandardForm build_standard_form(const Problem& p) {
 
 BasisFactorization::BasisFactorization(const StandardForm& sf) : sf_(&sf) {
   row_to_col_.assign(static_cast<std::size_t>(sf.m), -1);
-  row_refs_.resize(static_cast<std::size_t>(sf.m));
 }
 
 void BasisFactorization::append(int p, double piv, const std::vector<double>& w,
                                 const std::vector<int>& support) {
-  const int e = static_cast<int>(pivot_row_.size());
   pivot_row_.push_back(p);
   inv_piv_.push_back(1.0 / piv);
-  row_refs_[static_cast<std::size_t>(p)].push_back(e);
   for (const int r : support) {
     const double v = w[static_cast<std::size_t>(r)];
     if (r == p || v == 0.0) continue;
     off_row_.push_back(r);
     off_val_.push_back(v);
-    row_refs_[static_cast<std::size_t>(r)].push_back(e);
   }
   ptr_.push_back(static_cast<int>(off_row_.size()));
 }
@@ -152,7 +148,6 @@ bool BasisFactorization::refactorize(const std::vector<int>& cols) {
   off_val_.clear();
   update_etas_ = 0;
   row_to_col_.assign(static_cast<std::size_t>(m), -1);
-  for (auto& refs : row_refs_) refs.clear();
 
   // Sparsest-first column order approximates the triangularization a
   // Markowitz ordering would find: for LP1/LP2 bases nearly every column is
@@ -236,17 +231,21 @@ bool BasisFactorization::refactorize(const std::vector<int>& cols) {
   return true;
 }
 
-void BasisFactorization::ftran(std::vector<double>& v) const {
-  for (std::size_t e = 0; e < pivot_row_.size(); ++e) {
+void BasisFactorization::ftran_from(double* v, std::size_t first_eta) const {
+  for (std::size_t e = first_eta; e < pivot_row_.size(); ++e) {
     const int p = pivot_row_[e];
-    const double vp = v[static_cast<std::size_t>(p)];
+    const double vp = v[p];
     if (vp == 0.0) continue;
     const double t = vp * inv_piv_[e];
-    v[static_cast<std::size_t>(p)] = t;
-    util::simd::gather_axpy_minus(v.data(), off_row_.data() + ptr_[e],
+    v[p] = t;
+    util::simd::gather_axpy_minus(v, off_row_.data() + ptr_[e],
                                   off_val_.data() + ptr_[e],
                                   ptr_[e + 1] - ptr_[e], t);
   }
+}
+
+void BasisFactorization::ftran(std::vector<double>& v) const {
+  ftran_from(v.data(), 0);
 }
 
 void BasisFactorization::btran(std::vector<double>& v) const {
@@ -261,30 +260,11 @@ void BasisFactorization::btran(std::vector<double>& v) const {
   }
 }
 
-void BasisFactorization::finish_ftran_dense(ScatteredVec& v,
-                                            std::size_t first_eta) const {
-  for (std::size_t e = first_eta; e < pivot_row_.size(); ++e) {
-    const int p = pivot_row_[e];
-    const double vp = v.val[static_cast<std::size_t>(p)];
-    if (vp == 0.0) continue;
-    const double t = vp * inv_piv_[e];
-    v.val[static_cast<std::size_t>(p)] = t;
-    util::simd::gather_axpy_minus(v.val.data(), off_row_.data() + ptr_[e],
-                                  off_val_.data() + ptr_[e],
-                                  ptr_[e + 1] - ptr_[e], t);
-  }
-  v.dense = true;
-}
-
 void BasisFactorization::ftran(ScatteredVec& v) const {
-  if (v.dense) {
-    finish_ftran_dense(v, 0);
-    return;
-  }
-  const int m = sf_->m;
-  const int cap = m / kScatterDenseDen;
-  if (static_cast<int>(v.idx.size()) > cap) {
-    finish_ftran_dense(v, 0);
+  const int cap = sf_->m / kScatterDenseDen;
+  if (v.dense || static_cast<int>(v.idx.size()) > cap) {
+    ftran_from(v.val.data(), 0);
+    v.dense = true;
     return;
   }
   for (std::size_t e = 0; e < pivot_row_.size(); ++e) {
@@ -305,88 +285,9 @@ void BasisFactorization::ftran(ScatteredVec& v) const {
     if (static_cast<int>(v.idx.size()) > cap) {
       // Filled in past the threshold: the dense kernel is cheaper for the
       // rest of the file (identical arithmetic either way).
-      finish_ftran_dense(v, e + 1);
+      ftran_from(v.val.data(), e + 1);
+      v.dense = true;
       return;
-    }
-  }
-}
-
-void BasisFactorization::btran(ScatteredVec& v) const {
-  const int m = sf_->m;
-  const int cap = m / kScatterDenseDen;
-  const int ne = static_cast<int>(pivot_row_.size());
-  if (v.dense || static_cast<int>(v.idx.size()) > cap) {
-    btran(v.val);
-    v.dense = true;
-    return;
-  }
-  // Worklist of etas that can see a nonzero, processed in decreasing index
-  // order (the only order BTRAN admits). An eta joins when some row it
-  // references goes (or starts) nonzero at a step later than itself; once
-  // queued it stays queued, so each eta is applied at most once.
-  //
-  // Volume guard: once more than eta_cap etas are queued the heap's log
-  // factor plus its scattered access pattern cost more than simply
-  // streaming the file, so the scan finishes densely. Heavily referenced
-  // rows (LP1's machine-load rows back thousands of etas) trip this
-  // immediately, which is exactly when dense is cheaper.
-  heap_.clear();
-  queued_.assign(static_cast<std::size_t>(ne), 0);
-  const int eta_cap = ne / kScatterDenseDen;
-  auto activate = [&](int r, int bound) {
-    for (const int e : row_refs_[static_cast<std::size_t>(r)]) {
-      if (e >= bound) break;  // refs are in increasing order
-      if (!queued_[static_cast<std::size_t>(e)]) {
-        queued_[static_cast<std::size_t>(e)] = 1;
-        heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end());
-      }
-    }
-  };
-  for (const int r : v.idx) activate(r, ne);
-  if (static_cast<int>(heap_.size()) > eta_cap) {
-    btran(v.val);
-    v.dense = true;
-    return;
-  }
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    const int e = heap_.back();
-    heap_.pop_back();
-    const int p = pivot_row_[static_cast<std::size_t>(e)];
-    double s = v.val[static_cast<std::size_t>(p)];
-    for (int k = ptr_[static_cast<std::size_t>(e)];
-         k < ptr_[static_cast<std::size_t>(e) + 1]; ++k) {
-      s -= off_val_[static_cast<std::size_t>(k)] *
-           v.val[static_cast<std::size_t>(
-               off_row_[static_cast<std::size_t>(k)])];
-    }
-    s *= inv_piv_[static_cast<std::size_t>(e)];
-    v.val[static_cast<std::size_t>(p)] = s;
-    if (!v.mark[static_cast<std::size_t>(p)]) {
-      v.mark[static_cast<std::size_t>(p)] = 1;
-      v.idx.push_back(p);
-      activate(p, e);
-      if (static_cast<int>(v.idx.size()) > cap ||
-          static_cast<int>(heap_.size()) > eta_cap) {
-        // Fill (or queued-eta volume) exceeded: finish the remaining
-        // (earlier) etas densely. Etas still in the heap all have index < e
-        // and are a subset of these.
-        for (int e2 = e - 1; e2 >= 0; --e2) {
-          const int p2 = pivot_row_[static_cast<std::size_t>(e2)];
-          double s2 = v.val[static_cast<std::size_t>(p2)];
-          for (int k = ptr_[static_cast<std::size_t>(e2)];
-               k < ptr_[static_cast<std::size_t>(e2) + 1]; ++k) {
-            s2 -= off_val_[static_cast<std::size_t>(k)] *
-                  v.val[static_cast<std::size_t>(
-                      off_row_[static_cast<std::size_t>(k)])];
-          }
-          v.val[static_cast<std::size_t>(p2)] =
-              s2 * inv_piv_[static_cast<std::size_t>(e2)];
-        }
-        v.dense = true;
-        return;
-      }
     }
   }
 }
@@ -408,11 +309,11 @@ namespace {
 // instead of maintained in a dense arena (the dense tableau survives only
 // as the differential oracle under tests/).
 //
-// Pricing is Dantzig's rule. Reduced costs are exact each iteration
-// (recomputed from one BTRAN of c_B, never incrementally drifted), and the
-// candidate list is a partial-pricing shortlist re-priced per iteration;
-// a full rescan runs only when it runs dry, and finding nothing then is
-// the optimality certificate.
+// Pricing is Dantzig's rule over every nonbasic column, each iteration,
+// from one BTRAN of c_B: reduced costs are exact (never incrementally
+// drifted), and a pass that finds no improving column is the optimality
+// certificate. It is the differential oracle's rule too, so from the same
+// basis both engines take the same pivots up to roundoff.
 class RevisedSimplex {
  public:
   explicit RevisedSimplex(const StandardForm& sf) : sf_(sf), fact_(sf) {
@@ -449,8 +350,6 @@ class RevisedSimplex {
     cost_.assign(static_cast<std::size_t>(sf_.n_total), 0.0);
     std::copy(c.begin(), c.end(), cost_.begin());
     obj_ = basic_objective();
-    compute_y();
-    rebuild_candidates();
   }
 
   /// Advisory between refactorizations: pivot() advances it by
@@ -459,25 +358,19 @@ class RevisedSimplex {
 
   // One revised iteration. 0 = optimal, 1 = pivoted, 2 = unbounded,
   // -1 = numerical trouble (refactorization of the current basis failed).
+  // Dantzig enters the most negative reduced cost, lowest index on ties;
+  // Bland the first improving column.
   int iterate(bool bland) {
-    int enter = -1;
-    double d_enter = 0.0;
     compute_y();
-    if (bland) {
-      for (int j = 0; j < sf_.n_total; ++j) {
-        if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-        const double d = reduced_cost(j);
-        if (d < -kSimplexTol) {
-          enter = j;
-          d_enter = d;
-          break;
-        }
-      }
-    } else {
-      enter = price_candidates(&d_enter);
-      if (enter < 0) {
-        rebuild_candidates();
-        enter = price_candidates(&d_enter);
+    int enter = -1;
+    double d_enter = -kSimplexTol;
+    for (int j = 0; j < sf_.n_total; ++j) {
+      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
+      const double d = reduced_cost(j);
+      if (d < d_enter) {
+        enter = j;
+        d_enter = d;
+        if (bland) break;
       }
     }
     if (enter < 0) return 0;
@@ -563,22 +456,16 @@ class RevisedSimplex {
     fact_.btran(y_);
   }
 
-  // vec · a_j over column j's sparse entries.
-  double dot_col(const std::vector<double>& vec, int j) const {
+  // c_j - y · a_j over column j's sparse entries.
+  double reduced_cost(int j) const {
     double s = 0.0;
     for (int k = sf_.col_ptr[static_cast<std::size_t>(j)];
          k < sf_.col_ptr[static_cast<std::size_t>(j) + 1]; ++k) {
-      s += vec[static_cast<std::size_t>(
+      s += y_[static_cast<std::size_t>(
                sf_.col_row[static_cast<std::size_t>(k)])] *
            sf_.col_val[static_cast<std::size_t>(k)];
     }
-    return s;
-  }
-
-  double reduced_dot(int j) const { return dot_col(y_, j); }
-
-  double reduced_cost(int j) const {
-    return cost_[static_cast<std::size_t>(j)] - reduced_dot(j);
+    return cost_[static_cast<std::size_t>(j)] - s;
   }
 
   void load_column(int j) {
@@ -592,46 +479,6 @@ class RevisedSimplex {
   void note_ftran() {
     ++ftran_calls_;
     ftran_nnz_ += w_.dense ? sf_.m : static_cast<int>(w_.idx.size());
-  }
-
-  void rebuild_candidates() {
-    cand_.clear();
-    in_cand_.assign(static_cast<std::size_t>(sf_.n_total), 0);
-    for (int j = 0; j < sf_.n_total; ++j) {
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) continue;
-      if (reduced_cost(j) < -kSimplexTol) {
-        cand_.push_back(j);
-        in_cand_[static_cast<std::size_t>(j)] = 1;
-      }
-    }
-  }
-
-  // Lexicographic (reduced cost, index) minimum over the shortlist,
-  // re-pricing each member exactly and compacting out the stale ones.
-  int price_candidates(double* d_enter) {
-    int enter = -1;
-    double best = 0.0;
-    std::size_t w = 0;
-    for (std::size_t k = 0; k < cand_.size(); ++k) {
-      const int j = cand_[k];
-      if (basic_pos_[static_cast<std::size_t>(j)] >= 0) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      const double d = reduced_cost(j);
-      if (!(d < -kSimplexTol)) {
-        in_cand_[static_cast<std::size_t>(j)] = 0;
-        continue;
-      }
-      cand_[w++] = j;
-      if (enter < 0 || d < best || (d == best && j < enter)) {
-        best = d;
-        enter = j;
-      }
-    }
-    cand_.resize(w);
-    *d_enter = best;
-    return enter;
   }
 
   // Commit the pivot: update x_B, swap the basis, append the update eta and
@@ -668,8 +515,6 @@ class RevisedSimplex {
   std::vector<double> xb_;       // basic values per row (B^{-1} b)
   std::vector<double> cost_;     // active objective, dense over columns
   double obj_ = 0.0;
-  std::vector<int> cand_;        // pricing shortlist (improving columns)
-  std::vector<char> in_cand_;
   ScatteredVec w_;               // scratch: FTRAN'd entering column
   std::vector<double> y_;        // scratch: BTRAN'd pricing row
   std::vector<int> support_;     // scratch: nonzero rows of w_

@@ -5,8 +5,10 @@
 // simplex core — keeps only a factorization of the m×m basis matrix B and
 // reconstructs what a pivot needs on demand:
 //
-//   FTRAN  w = B^{-1} a_j        (entering column, for the ratio test)
-//   BTRAN  y = c_B^T B^{-1}      (pricing row, for reduced costs)
+//   FTRAN  w = B^{-1} a_j        (entering column, for the ratio test;
+//                                 scattered, touching only its support)
+//   BTRAN  y = c_B^T B^{-1}      (pricing row, dense; every nonbasic
+//                                 column is priced against it each pivot)
 //
 // B^{-1} is represented as a product of elementary Gauss transforms ("eta"
 // matrices), the classic product form of the inverse. refactorize() rebuilds
@@ -25,8 +27,8 @@
 // starting basis for solve_simplex.
 // solve_revised never returns a wrong answer on numerical trouble: it
 // returns Status::NumericalFailure, which callers surface as an error.
-// Dantzig pricing recomputes the reduced costs it compares from a fresh
-// BTRAN every iteration, so a well-posed solve never reports it.
+// Dantzig pricing recomputes every reduced cost from a fresh BTRAN each
+// iteration, so a well-posed solve never reports it.
 #pragma once
 
 #include <algorithm>
@@ -79,7 +81,7 @@ struct StandardForm {
 };
 
 /// Sparse workspace vector: dense values plus an explicit support list so
-/// FTRAN/BTRAN and their consumers touch only nonzeros. `idx` lists every
+/// FTRAN and its consumers touch only nonzeros. `idx` lists every
 /// row whose value may be nonzero (a superset: exact cancellations stay
 /// listed); `mark[r]` mirrors membership of r in `idx`. When an operation
 /// fills the vector past its sparsity threshold it flips `dense` and stops
@@ -125,8 +127,8 @@ struct ScatteredVec {
   }
 };
 
-/// Support fraction above which sparse FTRAN/BTRAN hand over to the dense
-/// kernels: once a quarter of the vector is live, support bookkeeping costs
+/// Support fraction above which sparse FTRAN hands over to the dense
+/// kernel: once a quarter of the vector is live, support bookkeeping costs
 /// more than the dense stream it avoids.
 inline constexpr int kScatterDenseDen = 4;
 
@@ -134,7 +136,7 @@ StandardForm build_standard_form(const Problem& p);
 
 /// Product-form basis factorization: an ordered file of eta transforms whose
 /// composition is B^{-1}. Exposed for the revised engine and for tests; the
-/// vectors passed to ftran/btran are dense, length StandardForm::m.
+/// std::vector overloads take dense vectors of length StandardForm::m.
 class BasisFactorization {
  public:
   explicit BasisFactorization(const StandardForm& sf);
@@ -156,12 +158,6 @@ class BasisFactorization {
   /// fill-in; flips v.dense (and finishes with the dense kernel) past the
   /// fill threshold. Bit-identical values to the dense ftran.
   void ftran(ScatteredVec& v) const;
-  /// Sparse BTRAN: walks the eta file backward through a max-heap worklist
-  /// seeded from v's support, using the row->eta index lists to activate
-  /// exactly the etas that can see a nonzero. Each eta is applied at most
-  /// once, in the same decreasing-index order as the dense kernel, so the
-  /// values it produces are bit-identical to it.
-  void btran(ScatteredVec& v) const;
 
   /// Append the update eta for a pivot on row `p` with FTRAN'd entering
   /// column `w` (dense; w[p] is the pivot element, |w[p]| > kPivotTol).
@@ -176,7 +172,8 @@ class BasisFactorization {
  private:
   void append(int p, double piv, const std::vector<double>& w,
               const std::vector<int>& support);
-  void finish_ftran_dense(ScatteredVec& v, std::size_t first_eta) const;
+  /// The dense FTRAN kernel: applies etas [first_eta, end) to v.
+  void ftran_from(double* v, std::size_t first_eta) const;
 
   const StandardForm* sf_;
   int update_etas_ = 0;
@@ -189,15 +186,6 @@ class BasisFactorization {
   std::vector<int> off_row_;
   std::vector<double> off_val_;
   std::vector<int> row_to_col_;
-  // Row-indexed view of the same file (the "dual" storage): row_refs_[r]
-  // lists the eta indices whose pivot row or off-pivot entries touch row r,
-  // each in increasing order. Sparse BTRAN reads it to find which etas a
-  // nonzero row can activate without scanning the file.
-  std::vector<std::vector<int>> row_refs_;
-  // Sparse-BTRAN scratch (per-call; mutable so the solve-side methods stay
-  // const like their dense counterparts).
-  mutable std::vector<int> heap_;
-  mutable std::vector<char> queued_;
 };
 
 /// Solve the standard form with the revised engine from `basis`, under

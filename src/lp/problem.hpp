@@ -55,9 +55,9 @@ struct Solution {
   Status status = Status::IterLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< size num_vars when status == Optimal
-  /// Simplex iterations spent: every pivot plus the final pricing pass
-  /// that finds no entering column (so 1 from an optimal basis). Excludes
-  /// the factorization of the starting basis.
+  /// Simplex pivots taken (0 from an optimal basis). The pricing pass
+  /// that finds no entering column and the factorization of the starting
+  /// basis are not pivots.
   int iterations = 0;
   /// Basic column per row on Status::Optimal (the standard form's column
   /// numbering: originals, then one slack per row). Valid as the starting

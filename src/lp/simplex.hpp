@@ -5,9 +5,9 @@
 // One engine: the revised simplex over an eta-file basis factorization
 // (lp/basis.hpp), with FTRAN/BTRAN per pivot and periodic refactorization.
 // It starts from a primal-feasible basis the caller supplies (LP1, LP2 and
-// the Lawler–Labetoulle LP pass their crash bases) and prices entering
-// columns by Dantzig's rule (most negative reduced cost) over a
-// partial-pricing shortlist. There is no phase 1: a starting basis that is
+// the Lawler–Labetoulle LP pass their crash bases) and prices every
+// nonbasic column each iteration by Dantzig's rule (most negative reduced
+// cost, lowest index on ties). There is no phase 1: a starting basis that is
 // singular or whose vertex is infeasible is reported, not repaired.
 // Numerical trouble is reported as Status::NumericalFailure, never papered
 // over by a re-solve; the differential tests hold it at zero against a
@@ -54,17 +54,17 @@ inline int simplex_stall_cap(int m, int n) {
 /// dense tableau runs the identical escalation. Engine must expose
 /// `iterate(bool bland)` returning 0 = optimal, 1 = pivoted, 2 = unbounded
 /// (negative values pass through for engine-specific trouble) and
-/// `objective()` for the active phase. Returns the first non-pivot result,
-/// or 3 once `iters` reaches `iter_cap`.
+/// `objective()` for the active phase. `iters` counts pivots. Returns the
+/// first non-pivot result, or 3 once `iters` reaches `iter_cap`.
 template <typename Engine>
 int run_simplex_phase(Engine& eng, int iter_cap, int stall_cap, int& iters) {
   double last_obj = eng.objective();
   int stall = 0;
   bool bland = false;
   while (iters < iter_cap) {
-    ++iters;
     const int res = eng.iterate(bland);
     if (res != 1) return res;
+    ++iters;
     const double obj = eng.objective();
     if (obj < last_obj - kSimplexTol) {
       stall = 0;

@@ -118,7 +118,7 @@ TEST(CrashStart, TinyLp1ReachesTheOracleOptimum) {
 
   const Solution s = solve_simplex(p, {x00, x01, t, p.num_vars + 3});
   ASSERT_EQ(s.status, Status::Optimal);
-  EXPECT_GT(s.iterations, 1);  // pivots, then the final pricing pass
+  EXPECT_GT(s.iterations, 0);  // pivots only; the final pricing pass is not one
   EXPECT_NEAR(s.objective, 1.0, 1e-9);
   const Solution ref = oracle::solve_tableau(p);
   ASSERT_EQ(ref.status, Status::Optimal);
